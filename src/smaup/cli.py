@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .core import min_safe_k, scan_k, smaup_test
+from .core import _first_safe_k, _rejects, scan_k, smaup_test
 from .critical_values import DEFAULT_TABLE, export_critical_values_csv
 from .errors import (
     DegenerateInputError,
@@ -67,11 +67,14 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _default_workers() -> int:
-    env = os.environ.get("SMAUP_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer (--workers, $SMAUP_WORKERS)")
+    return value
 
 
 def _resolve_seed(args) -> int:
@@ -231,10 +234,7 @@ def _cmd_test(args) -> int:
     null = NullDistribution.from_json(Path(args.null).read_text()) if args.null else None
     result = smaup_test(y, w, args.k, alpha=args.alpha, null=null, rho=args.rho)
     print(_result_table(result))
-    decision = result.decision[args.alpha]
-    if null is not None:
-        decision = result.pseudo_p_decision[args.alpha]
-    verdict = "rejected" if decision else "not rejected"
+    verdict = "rejected" if _rejects(result, args.alpha) else "not rejected"
     print(f"H0 (not MAUP-sensitive) {verdict} at alpha={args.alpha}")
     if args.json:
         doc = result.to_dict()
@@ -255,14 +255,12 @@ def _cmd_scan(args) -> int:
     for res in results:
         if null is not None:
             compare = f"{res.pseudo_p:.3f}"
-            rejected = res.pseudo_p_decision[args.alpha]
         else:
             compare = f"{res.critical_values[args.alpha]:.5f}"
-            rejected = res.decision[args.alpha]
-        decision = "reject" if rejected else "not-reject"
+        decision = "reject" if _rejects(res, args.alpha) else "not-reject"
         print(f"{res.k:>6} {res.theta:>7.3f} {res.m_value:>9.5f} {compare:>13} "
               f"{decision:>12} {res.significance_stars():>4}")
-    verdict = min_safe_k(y, w, alpha=args.alpha, k_min=k_min, k_max=k_max, null=null, rho=args.rho)
+    verdict = _first_safe_k(results, args.alpha)
     if verdict is None:
         print(f"no safe k in [{k_min}, {k_max}] at alpha={args.alpha}")
     else:
@@ -359,7 +357,10 @@ def _add_seed(p):
 
 
 def _add_workers(p):
-    p.add_argument("--workers", type=int, default=_default_workers(),
+    # argparse runs a string default through ``type``, so a bad $SMAUP_WORKERS
+    # is a usage error of the subcommand that reads it
+    p.add_argument("--workers", type=_positive_int,
+                   default=os.environ.get("SMAUP_WORKERS") or os.cpu_count() or 1,
                    help="worker processes (default: logical cores, or $SMAUP_WORKERS)")
 
 

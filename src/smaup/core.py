@@ -31,7 +31,7 @@ from .critical_values import (
     DEFAULT_TABLE,
     CriticalValueTable,
 )
-from .errors import InvalidAlphaError, InvalidKError
+from .errors import InvalidAlphaError, InvalidKError, ShapeMismatchError
 from .sar import AreaVariable, estimate_rho
 from .stats import pseudo_p as _pseudo_p
 from .weights import SpatialWeights
@@ -196,6 +196,23 @@ def _null_values(null) -> np.ndarray | None:
     return np.asarray(values, dtype=np.float64)
 
 
+def _rejects(result: SmaupResult, alpha: float) -> bool:
+    """The test's verdict at ``alpha``: the pseudo-p decision when a simulated
+    null was supplied, otherwise the critical-value decision."""
+    decision = result.decision if result.pseudo_p_decision is None else result.pseudo_p_decision
+    return decision[alpha]
+
+
+def _first_safe_k(results: list[SmaupResult], alpha: float) -> int | None:
+    """Walk results in descending k; the level before the first rejection."""
+    previous: int | None = None
+    for result in results:
+        if _rejects(result, alpha):
+            return previous
+        previous = result.k
+    return previous
+
+
 def smaup_test(
     y: AreaVariable,
     w: SpatialWeights,
@@ -205,7 +222,6 @@ def smaup_test(
     rho: float | None = None,
     params: SmaupParams = DEFAULT_PARAMS,
     table: CriticalValueTable = DEFAULT_TABLE,
-    cv_mode: str = "nearest",
 ) -> SmaupResult:
     """Test whether aggregating ``y`` into k regions distorts its distribution.
 
@@ -226,41 +242,15 @@ def smaup_test(
     alpha : float
         Headline significance level; must be one of the tabulated levels.
     null : NullDistribution or array, optional
-        Simulated null statistic values for pseudo-p computation.
+        Simulated null statistic values for pseudo-p computation. A
+        NullDistribution simulated for another area count is rejected with
+        ShapeMismatchError.
     rho : float, optional
         Skip estimation and use this autocorrelation value.
     """
     if not 1 <= k <= w.n:
         raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
-    if alpha not in ALPHA_GRID:
-        raise InvalidAlphaError(f"alpha must be one of {ALPHA_GRID}, got {alpha}")
-    if cv_mode not in ("nearest", "bilinear"):
-        raise ValueError(f"cv_mode must be 'nearest' or 'bilinear', got {cv_mode!r}")
-    rho_used = float(rho) if rho is not None else estimate_rho(w, y)
-    theta = k / w.n
-    m = m_statistic(rho_used, theta, params)
-    crit = {a: table.lookup(w.n, rho_used, a) if cv_mode == "nearest"
-            else table.lookup_bilinear(w.n, rho_used, a)
-            for a in ALPHA_GRID}
-    decision = {a: bool(m > crit[a]) for a in ALPHA_GRID}
-    nv = _null_values(null)
-    if nv is None:
-        pp, pp_decision = None, None
-    else:
-        pp = _pseudo_p(nv, m)
-        pp_decision = {a: bool(pp < a) for a in ALPHA_GRID}
-    return SmaupResult(
-        m_value=float(m),
-        theta=float(theta),
-        rho_used=rho_used,
-        n=w.n,
-        k=k,
-        critical_values=crit,
-        decision=decision,
-        pseudo_p=pp,
-        pseudo_p_decision=pp_decision,
-        params=params,
-    )
+    return scan_k(y, w, alpha, k, k, null, rho, params, table)[0]
 
 
 def scan_k(
@@ -276,19 +266,43 @@ def scan_k(
 ) -> list[SmaupResult]:
     """Test every aggregation level from k_max down to k_min.
 
-    The autocorrelation is estimated once and reused across levels (it does
-    not depend on k). Results are ordered by descending k.
+    Results are ordered by descending k. Neither rho nor the critical values
+    depend on k, so rho is estimated and the table read once, and M is
+    evaluated over all levels as one vector.
     """
     k_max = w.n if k_max is None else k_max
     if not 1 <= k_min <= k_max <= w.n:
-        raise InvalidKError(
-            f"need 1 <= k_min <= k_max <= {w.n}, got [{k_min}, {k_max}]"
-        )
+        raise InvalidKError(f"need 1 <= k_min <= k_max <= {w.n}, got [{k_min}, {k_max}]")
+    if alpha not in ALPHA_GRID:
+        raise InvalidAlphaError(f"alpha must be one of {ALPHA_GRID}, got {alpha}")
+    null_n = getattr(null, "n", None)
+    if null_n is not None and null_n != w.n:
+        raise ShapeMismatchError(f"null was simulated for N={null_n}, but weights has n={w.n}")
+    nv = _null_values(null)
     rho_used = float(rho) if rho is not None else estimate_rho(w, y)
-    return [
-        smaup_test(y, w, k, alpha=alpha, null=null, rho=rho_used, params=params, table=table)
-        for k in range(k_max, k_min - 1, -1)
-    ]
+    crit = {a: table.lookup(w.n, rho_used, a) for a in ALPHA_GRID}
+    ks = range(k_max, k_min - 1, -1)
+    thetas = np.asarray(ks, dtype=np.float64) / w.n
+    results = []
+    for k, theta, m in zip(ks, thetas, m_statistic(rho_used, thetas, params)):
+        if nv is None:
+            pp, pp_decision = None, None
+        else:
+            pp = _pseudo_p(nv, m)
+            pp_decision = {a: bool(pp < a) for a in ALPHA_GRID}
+        results.append(SmaupResult(
+            m_value=float(m),
+            theta=float(theta),
+            rho_used=rho_used,
+            n=w.n,
+            k=k,
+            critical_values=dict(crit),
+            decision={a: bool(m > crit[a]) for a in ALPHA_GRID},
+            pseudo_p=pp,
+            pseudo_p_decision=pp_decision,
+            params=params,
+        ))
+    return results
 
 
 def min_safe_k(
@@ -312,20 +326,4 @@ def min_safe_k(
     The rejection rule is the critical-value comparison, or the pseudo-p
     comparison when a simulated null vector is supplied.
     """
-    k_max = w.n if k_max is None else k_max
-    if not 1 <= k_min <= k_max <= w.n:
-        raise InvalidKError(
-            f"need 1 <= k_min <= k_max <= {w.n}, got [{k_min}, {k_max}]"
-        )
-    rho_used = float(rho) if rho is not None else estimate_rho(w, y)
-    previous: int | None = None
-    for k in range(k_max, k_min - 1, -1):
-        result = smaup_test(y, w, k, alpha=alpha, null=null, rho=rho_used, params=params, table=table)
-        if null is not None:
-            rejected = result.pseudo_p_decision[alpha]
-        else:
-            rejected = result.decision[alpha]
-        if rejected:
-            return previous
-        previous = k
-    return previous
+    return _first_safe_k(scan_k(y, w, alpha, k_min, k_max, null, rho, params, table), alpha)

@@ -1,20 +1,26 @@
 """Monte Carlo harnesses: aggregation-effect sweeps, simulated null
 distributions, and power/size estimation for the sensitivity test.
 
-All harnesses share one instance recipe. A SAR field is drawn on a square
-rook lattice, a region count k is drawn uniformly with 0.1 N < k < N, the
-field is aggregated r times at random, and the instance is kept or redrawn
-according to a Levene acceptance filter:
+Every harness repeats one step, implemented once in :func:`_region_means`:
+aggregate a field into k random contiguous regions and take the region
+means, r times. The region seed of repeat ``rep`` is
+``derive_seed(*seed_path, rep)``, derived only when that repeat is reached.
 
-* null / size recipe: keep iff Levene never rejects across the r
-  aggregations (the variance structure survives aggregation, i.e. the null
-  hypothesis holds);
-* power recipe: keep iff Levene rejects in all r aggregations (the variance
-  structure is destroyed, i.e. the alternative holds).
+The null, power and size harnesses share one instance recipe. A SAR field is
+drawn on a square rook lattice, a region count k is drawn uniformly with
+0.1 N < k < N, and the instance is kept or redrawn according to the Levene
+decisions over the kernel's r aggregations:
 
-On a filter failure only (k, aggregations) are redrawn; the SAR field is
-kept. After ``_K_REDRAWS_PER_FIELD`` consecutive failures the field itself
-is redrawn, which prevents livelock on pathological fields.
+* null / size recipe: keep iff Levene never rejects (the variance structure
+  survives aggregation, i.e. the null hypothesis holds);
+* power recipe: keep iff Levene rejects every time (the variance structure
+  is destroyed, i.e. the alternative holds).
+
+The filter stops at the first aggregation that decides it. On a failure only
+(k, aggregations) are redrawn; the SAR field is kept. After
+``_K_REDRAWS_PER_FIELD`` consecutive failures the field itself is redrawn,
+which prevents livelock on pathological fields. The effects harness feeds the
+same kernel's means to the Welch and Levene tests for every (rho, k) cell.
 
 Every random draw is derived from the master seed and the (cell, instance,
 attempt, repeat) path, so results are bitwise-identical regardless of worker
@@ -168,27 +174,14 @@ class NullDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _levene_filter_passes(
-    y: AreaVariable,
-    w: SpatialWeights,
-    k: int,
-    region_seeds: list[int],
-    mode: str,
-) -> bool:
-    """Run the r aggregations and apply the acceptance filter.
+def _region_means(y: AreaVariable, w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
+    """Yield the region means of r random aggregations of ``y`` into k regions.
 
-    mode "never_reject": pass iff no Levene rejection (null/size recipe).
-    mode "always_reject": pass iff every Levene test rejects (power recipe).
+    Repeat ``rep`` grows its regions from ``derive_seed(*seed_path, rep)``,
+    derived when the consumer asks for that repeat.
     """
-    for seed in region_seeds:
-        regions = random_regions(w, k, seed=seed)
-        agg = aggregate_mean(y, regions)
-        rejected = levene_test(y.values, agg.region_means).rejected_at[_FILTER_ALPHA]
-        if mode == "never_reject" and rejected:
-            return False
-        if mode == "always_reject" and not rejected:
-            return False
-    return True
+    for rep in range(r):
+        yield aggregate_mean(y, random_regions(w, k, seed=derive_seed(*seed_path, rep))).region_means
 
 
 def _accepted_instance(
@@ -210,6 +203,8 @@ def _accepted_instance(
     hi = n - 1
     if lo > hi:
         raise InvalidKError(f"no integer k satisfies 0.1*{n} < k < {n}")
+    # never_reject: keep iff no Levene test rejects; always_reject: iff all do
+    want_rejection = mode == "always_reject"
     trials = 0
     attempt = 0
     while True:
@@ -225,11 +220,11 @@ def _accepted_instance(
                 )
             k_rng = derive_rng(master_seed, *path_prefix, _ROLE_KDRAW, attempt, k_try)
             k = int(k_rng.integers(lo, hi + 1))
-            region_seeds = [
-                derive_seed(master_seed, *path_prefix, _ROLE_REGIONS, attempt, k_try, rep)
-                for rep in range(r)
-            ]
-            if _levene_filter_passes(y, w, k, region_seeds, mode):
+            seed_path = (master_seed, *path_prefix, _ROLE_REGIONS, attempt, k_try)
+            if all(
+                levene_test(y.values, means).rejected_at[_FILTER_ALPHA] == want_rejection
+                for means in _region_means(y, w, k, seed_path, r)
+            ):
                 rho_hat = estimate_rho(w, y)
                 return {"rho_hat": rho_hat, "k": k, "trials": trials, "attempts": attempt + 1}
         attempt += 1
@@ -563,12 +558,8 @@ def _effects_instance_task(args) -> dict:
             rcms, rcvs = [], []
             t_rej = 0
             lev_rej = 0
-            for rep in range(r):
-                seed = derive_seed(
-                    master_seed, n_index, instance, _ROLE_REGIONS, rho_index, k_index, rep
-                )
-                agg = aggregate_mean(y, random_regions(w, k, seed=seed))
-                means = agg.region_means
+            seed_path = (master_seed, n_index, instance, _ROLE_REGIONS, rho_index, k_index)
+            for means in _region_means(y, w, k, seed_path, r):
                 # zero-mean SAR fields make the signed-divisor relative change
                 # explode; divide by |mean| and flag it in run metadata
                 rcms.append(abs(mu_o - float(means.mean())) / abs(mu_o))

@@ -158,18 +158,6 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
         if not frontier and pos < len(active) and active[pos] == region:
             active.pop(pos)
 
-    # Growth covers every area on a connected graph; this fallback guards
-    # against weights variants that could strand enclaves.
-    if remaining:
-        stranded = np.flatnonzero(assignment < 0)
-        for area in stranded:
-            adjacent_regions = sorted({int(assignment[j]) for j in w.neighbors[area] if assignment[j] >= 0})
-            if not adjacent_regions:
-                raise CorruptPartitionError(f"area {area} has no assigned neighbor to join")
-            assignment[area] = adjacent_regions[int(rng.integers(len(adjacent_regions)))]
-        result = Regionalization(assignment=assignment, k=k)
-        validate_regionalization(result, w)
-        return result
     return Regionalization(assignment=assignment, k=k)
 
 

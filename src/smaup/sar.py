@@ -324,7 +324,10 @@ def area_variable_from_csv(text: str, w: SpatialWeights) -> AreaVariable:
         if line.lower() == "value":
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise ShapeMismatchError(f"not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise ShapeMismatchError(f"not a finite number: {line!r}")
+        values.append(value)
     return AreaVariable(values=np.asarray(values, dtype=np.float64), weights=w)

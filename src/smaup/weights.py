@@ -383,9 +383,13 @@ def from_geojson(content: str, standardized: bool = True) -> SpatialWeights:
 
 
 def is_connected(w: SpatialWeights) -> bool:
-    """True iff the contiguity graph has a single connected component."""
-    if w.n == 1:
-        return True
+    """True iff the contiguity graph has a single connected component.
+
+    The answer is cached on the weights object, so the graph is walked once.
+    """
+    cached = w.__dict__.get("_connected")
+    if cached is not None:
+        return cached
     seen = np.zeros(w.n, dtype=bool)
     queue = deque([0])
     seen[0] = True
@@ -397,4 +401,5 @@ def is_connected(w: SpatialWeights) -> bool:
                 seen[j] = True
                 count += 1
                 queue.append(j)
+    w.__dict__["_connected"] = count == w.n
     return count == w.n

@@ -170,6 +170,25 @@ class TestTestCommand:
         assert code == 3
         assert "constant" in err
 
+    def test_non_finite_values_exit_2(self, tmp_path, weights_file, values_file, capsys):
+        lines = open(values_file).read().splitlines()
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines[:-1] + ["nan"]) + "\n")
+        code, out, err = run(["test", "--values", str(bad), "--weights", weights_file,
+                              "--k", "10"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+    def test_null_for_another_n_exit_2(self, tmp_path, weights_file, values_file, capsys):
+        null_path = tmp_path / "null25.json"
+        nd = NullDistribution(n=25, rho=0.0, values=np.array([0.1, 0.2, 0.3, 0.4]),
+                              replicates=4)
+        null_path.write_text(nd.to_json())
+        code, out, err = run(["test", "--values", values_file, "--weights", weights_file,
+                              "--k", "50", "--null", str(null_path)], capsys)
+        assert code == 2
+        assert "N=25" in err
+
 
 class TestScanCommand:
     def test_verdict_matches_brute_force(self, weights_file, values_file, capsys):
@@ -254,6 +273,20 @@ class TestExperimentsCommands:
         code, out, err = run(["effects", "--cell", "100", "--instances", "1",
                               "--seed", "1", "--workers", "1"], capsys)
         assert code == 2
+
+    def test_bad_workers_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SMAUP_WORKERS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
+        args = ["null", "--n", "100", "--rho", "0", "--replicates", "1", "--seed", "1",
+                "--out", str(tmp_path / "null.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert "SMAUP_WORKERS" in capsys.readouterr().err
+        # an explicit --workers overrides the environment
+        assert main(args + ["--workers", "1"]) == 0
 
 
 class TestExportCommand:

@@ -10,7 +10,9 @@ from smaup import (
     DEFAULT_PARAMS,
     InvalidAlphaError,
     InvalidKError,
+    NullDistribution,
     SarSpec,
+    ShapeMismatchError,
     SmaupParams,
     build_lattice_rook,
     estimate_rho,
@@ -235,3 +237,47 @@ class TestMinSafeK:
             min_safe_k(flat_field, w30, k_min=0, k_max=10)
         with pytest.raises(InvalidKError):
             scan_k(flat_field, w30, k_min=50, k_max=20)
+
+
+class TestScanSharesOnePath:
+    @pytest.fixture(scope="class")
+    def case(self):
+        w = build_lattice_rook(10, 10)
+        y = generate_sar(w, SarSpec(rho=0.4, seed=3))
+        null = NullDistribution(n=100, rho=0.0, values=np.linspace(0.01, 0.4, 20), replicates=20)
+        return w, y, null
+
+    @pytest.mark.parametrize("with_null", [False, True])
+    def test_scan_equals_per_k_test(self, case, with_null):
+        w, y, null = case
+        null = null if with_null else None
+        results = scan_k(y, w, alpha=0.05, k_min=5, k_max=100, null=null)
+        assert [r.k for r in results] == list(range(100, 4, -1))
+        for r in results:
+            single = smaup_test(y, w, r.k, alpha=0.05, null=null)
+            assert r == single
+            assert r.to_json() == single.to_json()
+            assert r.m_value == m_statistic(r.rho_used, r.k / w.n)
+            assert (r.pseudo_p is None) == (null is None)
+
+    def test_min_safe_k_with_null_matches_pseudo_p_oracle(self, case):
+        w, y, null = case
+        rho_hat = estimate_rho(w, y)
+        oracle = None
+        for k in range(w.n, 0, -1):
+            p = np.count_nonzero(null.values > m_statistic(rho_hat, k / w.n)) / null.replicates
+            if p < 0.05:
+                break
+            oracle = k
+        assert oracle is not None and 1 < oracle < w.n  # the null decides mid-range
+        assert min_safe_k(y, w, alpha=0.05, null=null) == oracle
+
+    def test_null_for_another_n_rejected(self, case):
+        w, y, _ = case
+        null25 = NullDistribution(n=25, rho=0.0, values=np.linspace(0.1, 0.3, 5), replicates=5)
+        with pytest.raises(ShapeMismatchError, match="N=25"):
+            smaup_test(y, w, 50, null=null25)
+        with pytest.raises(ShapeMismatchError):
+            min_safe_k(y, w, null=null25)
+        # a bare vector carries no N and is taken as given
+        assert smaup_test(y, w, 50, null=null25.values).pseudo_p is not None

@@ -25,10 +25,12 @@ from smaup import (
 from smaup import experiments
 from smaup.experiments import (
     _accepted_instance,
-    _levene_filter_passes,
+    _region_means,
 )
+from smaup.regionalize import aggregate_mean, random_regions
 from smaup.sar import SarSpec
 from smaup.seeding import derive_seed
+from smaup.stats import levene_test
 
 
 def constant_table(value: float) -> CriticalValueTable:
@@ -92,12 +94,48 @@ class TestAcceptanceRecipe:
         for seed in range(40):
             y = generate_sar(w100, SarSpec(rho=0.0, seed=seed))
             k = 11 + seed % 88
-            seeds = [derive_seed(seed, rep) for rep in range(5)]
-            null_pass = _levene_filter_passes(y, w100, k, seeds, "never_reject")
-            power_pass = _levene_filter_passes(y, w100, k, seeds, "always_reject")
+            # repeat seeds derive_seed(seed, rep), rep < 5
+            rejections = [levene_test(y.values, means).rejected_at[0.05]
+                          for means in _region_means(y, w100, k, (seed,), 5)]
+            assert len(rejections) == 5
+            null_pass = not any(rejections)
+            power_pass = all(rejections)
             assert not (null_pass and power_pass)
             hits += null_pass or power_pass
         assert hits > 0  # the sweep exercised both outcomes
+
+    def test_kernel_pins_region_stream(self, w100):
+        y = generate_sar(w100, SarSpec(rho=0.3, seed=11))
+        path = (11, 0, 3, experiments._ROLE_REGIONS, 2, 7)
+        got = list(_region_means(y, w100, 23, path, 6))
+        assert len(got) == 6
+        for rep, means in enumerate(got):
+            eager = aggregate_mean(y, random_regions(w100, 23, seed=derive_seed(*path, rep)))
+            assert np.array_equal(means, eager.region_means)
+
+    def test_kernel_derives_seeds_on_demand(self, w100, monkeypatch):
+        derived = []
+
+        def counting(*path):
+            derived.append(path)
+            return derive_seed(*path)
+
+        monkeypatch.setattr(experiments, "derive_seed", counting)
+        y = generate_sar(w100, SarSpec(rho=0.0, seed=1))
+        kernel = _region_means(y, w100, 20, (1, 2), 30)
+        next(kernel)
+        next(kernel)
+        assert derived == [(1, 2, 0), (1, 2, 1)]
+
+    @pytest.mark.parametrize("prefix, mode, k, trials, rho_hat", [
+        ((0, 0), "never_reject", 61, 6, -0.13540828322856058),
+        ((1, 0), "always_reject", 14, 8, -0.0964718841671182),
+    ])
+    def test_accepted_instance_pinned(self, w100, prefix, mode, k, trials, rho_hat):
+        # pinned figures: they move only if a seed path or random stream changes
+        res = _accepted_instance(w100, 0.0, master_seed=7, path_prefix=prefix, mode=mode, r=10)
+        assert (res["k"], res["trials"], res["attempts"]) == (k, trials, 1)
+        assert res["rho_hat"] == pytest.approx(rho_hat, abs=1e-12)
 
     def test_accepted_instance_fields(self, w100):
         res = _accepted_instance(w100, 0.0, master_seed=7, path_prefix=(0, 0),

@@ -86,8 +86,10 @@ class TestRandomRegions:
 
     def test_disconnected_graph_rejected(self):
         w = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2")
-        with pytest.raises(ContiguityError):
-            random_regions(w, 2, seed=0)
+        # the connectivity answer is cached on w; every call must still refuse
+        for seed in range(3):
+            with pytest.raises(ContiguityError):
+                random_regions(w, 2, seed=seed)
 
 
 class TestAggregateMean:
