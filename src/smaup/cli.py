@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .core import _first_safe_k, _rejects, scan_k, smaup_test
+from .core import _first_safe_k, scan_k, smaup_test
 from .critical_values import DEFAULT_TABLE, export_critical_values_csv
 from .errors import (
     DegenerateInputError,
@@ -234,7 +234,7 @@ def _cmd_test(args) -> int:
     null = NullDistribution.from_json(Path(args.null).read_text()) if args.null else None
     result = smaup_test(y, w, args.k, alpha=args.alpha, null=null, rho=args.rho)
     print(_result_table(result))
-    verdict = "rejected" if _rejects(result, args.alpha) else "not rejected"
+    verdict = "rejected" if result.rejects(args.alpha) else "not rejected"
     print(f"H0 (not MAUP-sensitive) {verdict} at alpha={args.alpha}")
     if args.json:
         doc = result.to_dict()
@@ -257,7 +257,7 @@ def _cmd_scan(args) -> int:
             compare = f"{res.pseudo_p:.3f}"
         else:
             compare = f"{res.critical_values[args.alpha]:.5f}"
-        decision = "reject" if _rejects(res, args.alpha) else "not-reject"
+        decision = "reject" if res.rejects(args.alpha) else "not-reject"
         print(f"{res.k:>6} {res.theta:>7.3f} {res.m_value:>9.5f} {compare:>13} "
               f"{decision:>12} {res.significance_stars():>4}")
     verdict = _first_safe_k(results, args.alpha)

@@ -136,7 +136,7 @@ class SmaupResult:
 
     ``decision[alpha]`` is True iff ``m_value > critical_values[alpha]``.
     ``pseudo_p`` and ``pseudo_p_decision`` are present only when a simulated
-    null vector was supplied.
+    null vector was supplied; :meth:`rejects` then follows the pseudo-p.
     """
 
     m_value: float
@@ -151,9 +151,12 @@ class SmaupResult:
     params: SmaupParams = field(default=DEFAULT_PARAMS, compare=False)
 
     def rejects(self, alpha: float) -> bool:
-        if alpha not in self.decision:
+        """The test's verdict at ``alpha``: the pseudo-p decision when a
+        simulated null was supplied, otherwise the critical-value decision."""
+        decision = self.decision if self.pseudo_p_decision is None else self.pseudo_p_decision
+        if alpha not in decision:
             raise InvalidAlphaError(f"no decision recorded at alpha={alpha}")
-        return self.decision[alpha]
+        return decision[alpha]
 
     def significance_stars(self) -> str:
         """Publication convention: *** / ** / * for rejection at 0.01 / 0.05 / 0.1."""
@@ -196,18 +199,11 @@ def _null_values(null) -> np.ndarray | None:
     return np.asarray(values, dtype=np.float64)
 
 
-def _rejects(result: SmaupResult, alpha: float) -> bool:
-    """The test's verdict at ``alpha``: the pseudo-p decision when a simulated
-    null was supplied, otherwise the critical-value decision."""
-    decision = result.decision if result.pseudo_p_decision is None else result.pseudo_p_decision
-    return decision[alpha]
-
-
 def _first_safe_k(results: list[SmaupResult], alpha: float) -> int | None:
     """Walk results in descending k; the level before the first rejection."""
     previous: int | None = None
     for result in results:
-        if _rejects(result, alpha):
+        if result.rejects(alpha):
             return previous
         previous = result.k
     return previous

@@ -109,9 +109,20 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
     Raises
     ------
     NumericalError
-        If (I - rho W) is singular, which can only happen with
-        non-standardized weights and |rho| >= 1 / max row sum.
+        If W is not row-standardized and rho lies outside its stability
+        interval (1 / lambda_min, 1 / lambda_max), or if (I - rho W) is
+        singular. Row-standardized W has lambda_max = 1 and
+        lambda_min <= -1, so ``SarSpec``'s |rho| < 1 already keeps it stable.
     """
+    if not w.standardized and spec.rho != 0.0:
+        lam = _w_eigenvalues(w)
+        lo, hi = float(lam[0]), float(lam[-1])
+        if (lo < 0.0 and spec.rho <= 1.0 / lo) or (hi > 0.0 and spec.rho >= 1.0 / hi):
+            raise NumericalError(
+                f"rho={spec.rho} is outside the stability interval (1/lambda_min, "
+                f"1/lambda_max) of the non-standardized weights, with eigenvalues "
+                f"in [{lo:.6g}, {hi:.6g}]"
+            )
     rng = np.random.default_rng(spec.seed)
     eps = rng.standard_normal(w.n)
     if spec.rho == 0.0:

@@ -5,6 +5,14 @@ an aggregated variable, Welch's two-sample t-test, the (mean-centered) Levene
 test for equality of variances, and the empirical pseudo-p of a statistic
 against a simulated null vector.
 
+The two-sample tests are written in closed form (Welch 1947; Levene 1960)
+with p-values from the ``scipy.special`` distribution functions, because the
+Monte Carlo harnesses call them millions of times and the ``scipy.stats``
+wrappers spend most of each call on argument handling. ``scipy.stats.levene``
+and ``scipy.stats.ttest_ind(equal_var=False)`` remain the oracles the tests
+compare against; this module does not import ``scipy.stats``, which keeps it
+off the ``import smaup`` path.
+
 Conventions: variances are sample variances (divisor n-1) everywhere. The
 relative-change-in-mean ratio divides by the signed original mean exactly as
 defined; a warning is emitted when that mean is negative, since the ratio is
@@ -14,11 +22,12 @@ divides by |mean| instead and flags the deviation in its metadata).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import fdtrc, stdtr
 
 from .errors import (
     DegenerateSampleError,
@@ -60,6 +69,13 @@ def _outcome(statistic: float, p_value: float) -> TestOutcome:
         p_value=p,
         rejected_at={a: p < a for a in STANDARD_ALPHAS},
     )
+
+
+def _mean_and_ss(x: np.ndarray) -> tuple[float, float]:
+    """Mean of a float vector and the sum of squared deviations from it."""
+    mean = float(x.sum()) / x.size
+    dev = x - mean
+    return mean, float(dev @ dev)
 
 
 def descriptives(x) -> tuple[float, float]:
@@ -121,10 +137,18 @@ def welch_t_test(a, b) -> TestOutcome:
         raise InsufficientDataError("both samples need at least 2 observations")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DegenerateSampleError("samples must be finite")
-    if a.var(ddof=1) == 0.0 and b.var(ddof=1) == 0.0:
+    mean_a, ss_a = _mean_and_ss(a)
+    mean_b, ss_b = _mean_and_ss(b)
+    if ss_a == 0.0 and ss_b == 0.0:
         raise DegenerateSampleError("both samples have zero variance")
-    stat, p = scipy.stats.ttest_ind(a, b, equal_var=False)
-    return _outcome(stat, p)
+    # squared standard errors of the two means, and their shares of the total
+    se2_a = ss_a / (a.size - 1) / a.size
+    se2_b = ss_b / (b.size - 1) / b.size
+    se2 = se2_a + se2_b
+    fa, fb = se2_a / se2, se2_b / se2
+    df = 1.0 / (fa * fa / (a.size - 1) + fb * fb / (b.size - 1))
+    t = (mean_a - mean_b) / math.sqrt(se2)
+    return _outcome(t, 2.0 * stdtr(df, -abs(t)))
 
 
 def levene_test(a, b, center: str = "mean") -> TestOutcome:
@@ -133,7 +157,8 @@ def levene_test(a, b, center: str = "mean") -> TestOutcome:
     Classic Levene scores are absolute deviations from the group mean; the
     one-way F statistic on those scores has (1, n_a + n_b - 2) degrees of
     freedom. ``center="median"`` switches to Brown-Forsythe scoring for
-    sensitivity checks.
+    sensitivity checks. When every group's scores are constant but the
+    groups differ, F is infinite and p is 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -141,12 +166,19 @@ def levene_test(a, b, center: str = "mean") -> TestOutcome:
         raise InsufficientDataError("both samples need at least 2 observations")
     if center not in ("mean", "median"):
         raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
-    za = np.abs(a - (a.mean() if center == "mean" else np.median(a)))
-    zb = np.abs(b - (b.mean() if center == "mean" else np.median(b)))
-    if np.ptp(np.concatenate([za, zb])) == 0.0:
+    za = np.abs(a - (a.sum() / a.size if center == "mean" else np.median(a)))
+    zb = np.abs(b - (b.sum() / b.size if center == "mean" else np.median(b)))
+    if za.min() == za.max() == zb.min() == zb.max():
         raise DegenerateSampleError("all deviation scores are identical in both groups")
-    stat, p = scipy.stats.levene(a, b, center=center)
-    return _outcome(stat, p)
+    na, nb = za.size, zb.size
+    za_bar, ss_a = _mean_and_ss(za)
+    zb_bar, ss_b = _mean_and_ss(zb)
+    z_bar = (na * za_bar + nb * zb_bar) / (na + nb)
+    between = na * (za_bar - z_bar) ** 2 + nb * (zb_bar - z_bar) ** 2
+    within = ss_a + ss_b
+    dfd = na + nb - 2
+    stat = math.inf if within == 0.0 else dfd * between / within
+    return _outcome(stat, fdtrc(1.0, dfd, stat))
 
 
 def pseudo_p(null_values, m: float) -> float:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from smaup import NullDistribution, SpatialWeights, build_lattice_rook
+from smaup import NullDistribution, SpatialWeights, build_lattice_rook, smaup_test
 from smaup.cli import main
 from smaup.sar import area_variable_from_csv
 
@@ -154,6 +154,24 @@ class TestTestCommand:
         assert code == 0
         doc = json.loads((tmp_path / "res.json").read_text())
         assert 0.0 <= doc["pseudo_p"] <= 1.0
+
+    def test_rejects_follows_null_like_the_verdict(self, tmp_path, weights_file, values_file,
+                                                   capsys):
+        # M clears the tabulated 5% critical value but sits mid-null (pseudo-p 0.55)
+        nd = NullDistribution(n=100, rho=0.0, values=np.linspace(0.2, 0.9, 20), replicates=20)
+        null_path = tmp_path / "null.json"
+        null_path.write_text(nd.to_json())
+        code, out, err = run(["test", "--values", values_file, "--weights", weights_file,
+                              "--k", "30", "--null", str(null_path)], capsys)
+        assert code == 0
+        assert "not rejected at alpha=0.05" in out
+        w = build_lattice_rook(10, 10)
+        y = area_variable_from_csv(open(values_file).read(), w)
+        result = smaup_test(y, w, k=30, null=nd)
+        assert result.decision[0.05] is True
+        assert result.pseudo_p == pytest.approx(0.55)
+        assert result.rejects(0.05) is False
+        assert smaup_test(y, w, k=30).rejects(0.05) is True
 
     def test_shape_mismatch_exit_2(self, tmp_path, weights_file, capsys):
         bad = tmp_path / "short.csv"

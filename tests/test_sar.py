@@ -77,6 +77,18 @@ class TestGenerateSar:
         with pytest.raises(NumericalError, match="0.5"):
             generate_sar(w, SarSpec(rho=0.5, seed=0))
 
+    def test_rho_outside_stability_interval_of_binary_weights(self):
+        from smaup import NumericalError
+        w = build_lattice_rook(20, 20, standardized=False)  # 1/lambda_max ~ 0.253
+        with pytest.raises(NumericalError, match="stability interval"):
+            generate_sar(w, SarSpec(rho=0.6, seed=0))
+        with pytest.raises(NumericalError, match="stability interval"):
+            generate_sar(w, SarSpec(rho=-0.6, seed=0))
+        spec = SarSpec(rho=0.2, seed=0)
+        y = generate_sar(w, spec)
+        eps = np.random.default_rng(0).standard_normal(w.n)
+        assert np.allclose(y.values - spec.rho * (w.sparse @ y.values), eps, atol=1e-10)
+
     def test_sparse_solver_path_above_dense_limit(self):
         w = build_lattice_rook(51, 51)  # 2601 areas, takes the sparse LU route
         spec = SarSpec(rho=0.8, seed=4)

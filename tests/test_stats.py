@@ -1,11 +1,19 @@
 """Tests for descriptive moments, relative changes, and the two-sample tests."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smaup
 from smaup import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -221,6 +229,101 @@ class TestLevene:
     def test_degenerate_scores(self):
         with pytest.raises(DegenerateSampleError):
             levene_test([1.0, 1.0], [5.0, 5.0])
+
+
+class TestLeveneInfiniteF:
+    @pytest.mark.parametrize("center", ["mean", "median"])
+    def test_constant_scores_that_differ_give_infinite_f(self, center):
+        # scores are [1, 1] and [2, 2]: nothing varies within a group
+        a, b = [0.0, 2.0], [0.0, 4.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = levene_test(a, b, center=center)
+        assert out.statistic == math.inf
+        assert out.p_value == 0.0
+        assert all(out.rejected_at.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = scipy.stats.levene(a, b, center=center)
+        assert (ref.statistic, ref.pvalue) == (out.statistic, out.p_value)
+
+
+@st.composite
+def samples(draw, kind):
+    """One float sample of 2-200 values at a drawn location and scale."""
+    n = draw(st.integers(2, 200))
+    loc = draw(st.sampled_from([0.0, -3.5, 1e3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        return np.full(n, loc + scale)
+    if kind == "tied":
+        return loc + scale * rng.integers(0, 3, n).astype(np.float64)
+    return loc + scale * rng.standard_normal(n)
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples of mixed kinds and scales; at most one is constant."""
+    kind_a = draw(st.sampled_from(["normal", "tied", "constant"]))
+    kind_b = draw(st.sampled_from(["normal", "tied"] if kind_a == "constant"
+                                  else ["normal", "tied", "constant"]))
+    pair = [draw(samples(kind_a)), draw(samples(kind_b))]
+    if draw(st.booleans()):
+        pair.reverse()
+    return pair
+
+
+def assert_matches_scipy(out, ref):
+    assert out.statistic == pytest.approx(float(ref.statistic), rel=1e-10, abs=0.0)
+    assert out.p_value == pytest.approx(min(max(float(ref.pvalue), 0.0), 1.0), rel=1e-10, abs=0.0)
+
+
+class TestClosedFormAgainstScipy:
+    """The closed-form kernels reproduce the scipy.stats reference tests."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_pairs(), st.sampled_from(["mean", "median"]))
+    def test_levene(self, pair, center):
+        a, b = pair
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = levene_test(a, b, center=center)
+        except DegenerateSampleError:
+            scores = [np.abs(x - (x.mean() if center == "mean" else np.median(x))) for x in pair]
+            assert np.ptp(np.concatenate(scores)) == 0.0
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = scipy.stats.levene(a, b, center=center)
+        assert_matches_scipy(out, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_pairs())
+    def test_welch(self, pair):
+        a, b = pair
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = welch_t_test(a, b)
+        except DegenerateSampleError:
+            # tied draws can make the second sample constant too
+            assert a.var() == 0.0 and b.var() == 0.0
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = scipy.stats.ttest_ind(a, b, equal_var=False)
+        assert_matches_scipy(out, ref)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(smaup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, smaup; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestPseudoP:
