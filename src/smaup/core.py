@@ -150,21 +150,26 @@ class SmaupResult:
     pseudo_p_decision: dict[float, bool] | None = None
     params: SmaupParams = field(default=DEFAULT_PARAMS, compare=False)
 
+    @property
+    def _verdicts(self) -> dict[float, bool]:
+        return self.decision if self.pseudo_p_decision is None else self.pseudo_p_decision
+
     def rejects(self, alpha: float) -> bool:
         """The test's verdict at ``alpha``: the pseudo-p decision when a
         simulated null was supplied, otherwise the critical-value decision."""
-        decision = self.decision if self.pseudo_p_decision is None else self.pseudo_p_decision
-        if alpha not in decision:
+        if alpha not in self._verdicts:
             raise InvalidAlphaError(f"no decision recorded at alpha={alpha}")
-        return decision[alpha]
+        return self._verdicts[alpha]
 
     def significance_stars(self) -> str:
-        """Publication convention: *** / ** / * for rejection at 0.01 / 0.05 / 0.1."""
-        if self.decision.get(0.01):
+        """Publication convention: *** / ** / * for rejection at 0.01 / 0.05 /
+        0.1, by the same verdict as :meth:`rejects`."""
+        verdicts = self._verdicts
+        if verdicts.get(0.01):
             return "***"
-        if self.decision.get(0.05):
+        if verdicts.get(0.05):
             return "**"
-        if self.decision.get(0.1):
+        if verdicts.get(0.1):
             return "*"
         return ""
 

@@ -8,6 +8,7 @@ construction. Aggregation uses the unweighted mean of member areas.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -107,13 +108,50 @@ class AggregatedVariable:
         return self.region_means.shape[0]
 
 
+def _bounded_draws(rng: np.random.Generator, block: int):
+    """Return ``draw(m)``, uniform on [0, m), equal to ``int(rng.integers(m))``.
+
+    The Generator's 32-bit words are read ``block`` at a time and mapped by
+    numpy's bounded rule (Lemire 2019): for m >= 2 take ``x * m``, reject
+    while its low 32 bits are below ``(2**32 - m) % m``, and return its top
+    32 bits. A range of 1 reads no word.
+    """
+
+    def words():
+        while True:
+            yield from rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
+
+    next_word = words().__next__
+
+    def draw(m: int) -> int:
+        if m == 1:
+            return 0
+        x = next_word() * m
+        if (x & 0xFFFFFFFF) < m:
+            threshold = (0x100000000 - m) % m
+            while (x & 0xFFFFFFFF) < threshold:
+                x = next_word() * m
+        return x >> 32
+
+    return draw
+
+
 def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     """Aggregate the n areas of ``w`` into k contiguous regions at random.
 
     k seed areas are drawn uniformly without replacement. Growth then
-    repeats: pick a region uniformly among those with a nonempty frontier
-    (unassigned areas adjacent to the region), then assign it a uniformly
-    chosen frontier area. Deterministic under a fixed seed.
+    repeats: pick a region uniformly from the active list, then assign it a
+    uniformly chosen area of its frontier (the unassigned areas adjacent to
+    it, in ascending order). A region leaves the active list when its own
+    claim empties its frontier, or when it is picked with a frontier that
+    other regions' claims emptied. Deterministic under a fixed seed.
+
+    Draw contract: after ``rng.choice`` draws the seeds from
+    ``np.random.default_rng(seed)``, every region pick and every area pick is
+    one bounded draw on the Generator's 32-bit words, exactly as
+    ``rng.integers(m)`` would make it, and a range of 1 draws nothing. The
+    assignment thus depends only on (w, k, seed) and on numpy's PCG64,
+    ``choice`` and bounded-integer rules.
 
     Raises
     ------
@@ -128,37 +166,42 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     if not is_connected(w):
         raise ContiguityError("contiguous regions are impossible on a disconnected graph")
     rng = np.random.default_rng(seed)
-    assignment = np.full(n, -1, dtype=np.int64)
-    seeds = rng.choice(n, size=k, replace=False)
-    frontiers: list[set[int]] = [set() for _ in range(k)]
+    neighbors = w.neighbors
+    seeds = rng.choice(n, size=k, replace=False).tolist()
+    assignment = [-1] * n
     for region, area in enumerate(seeds):
         assignment[area] = region
-    for region, area in enumerate(seeds):
-        frontiers[region] = {j for j in w.neighbors[area] if assignment[j] < 0}
+    # frontiers[r] is exactly the sorted list of unassigned areas adjacent to r
+    frontiers = [sorted([j for j in neighbors[area] if assignment[j] < 0]) for area in seeds]
     active = [r for r in range(k) if frontiers[r]]
+    draw = _bounded_draws(rng, 2 * (n - k) + 16)
     remaining = n - k
     while remaining and active:
-        pos = int(rng.integers(len(active)))
+        pos = draw(len(active))
         region = active[pos]
         frontier = frontiers[region]
-        frontier.difference_update(
-            [a for a in frontier if assignment[a] >= 0]
-        )
         if not frontier:
             active.pop(pos)
             continue
-        ordered = sorted(frontier)
-        area = ordered[int(rng.integers(len(ordered)))]
-        frontier.discard(area)
+        area = frontier[draw(len(frontier))]
         assignment[area] = region
         remaining -= 1
-        for j in w.neighbors[area]:
-            if assignment[j] < 0:
-                frontier.add(j)
-        if not frontier and pos < len(active) and active[pos] == region:
+        for j in neighbors[area]:
+            owner = assignment[j]
+            if owner < 0:
+                i = bisect_left(frontier, j)
+                if i == len(frontier) or frontier[i] != j:
+                    frontier.insert(i, j)
+            else:
+                # area left the frontier of every region it touches, its claimant's too
+                owned = frontiers[owner]
+                i = bisect_left(owned, area)
+                if i < len(owned) and owned[i] == area:
+                    del owned[i]
+        if not frontier:
             active.pop(pos)
 
-    return Regionalization(assignment=assignment, k=k)
+    return Regionalization(assignment=np.array(assignment, dtype=np.int64), k=k)
 
 
 def validate_regionalization(r: Regionalization, w: SpatialWeights) -> None:

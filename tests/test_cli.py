@@ -173,6 +173,28 @@ class TestTestCommand:
         assert result.rejects(0.05) is False
         assert smaup_test(y, w, k=30).rejects(0.05) is True
 
+    def test_stars_follow_the_verdict(self, tmp_path, weights_file, values_file, capsys):
+        # same reproduction: M clears every tabulated critical value, pseudo-p is 0.55
+        nd = NullDistribution(n=100, rho=0.0, values=np.linspace(0.2, 0.9, 20), replicates=20)
+        null_path = tmp_path / "null.json"
+        null_path.write_text(nd.to_json())
+        common = ["--values", values_file, "--weights", weights_file]
+        code, out, _ = run(["test", *common, "--k", "30", "--null", str(null_path)], capsys)
+        assert code == 0
+        assert "not rejected" in out and "*" not in out
+        code, out, _ = run(["test", *common, "--k", "30"], capsys)
+        assert code == 0
+        assert "***" in out and "not rejected" not in out
+        scan = ["scan", *common, "--k-min", "28", "--k-max", "32"]
+        code, out, _ = run([*scan, "--null", str(null_path)], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:6]
+        assert all("not-reject" in row and "*" not in row for row in rows)
+        code, out, _ = run(scan, capsys)
+        assert code == 0
+        rows = out.splitlines()[1:6]
+        assert all(row.split()[-2:] == ["reject", "***"] for row in rows)
+
     def test_shape_mismatch_exit_2(self, tmp_path, weights_file, capsys):
         bad = tmp_path / "short.csv"
         bad.write_text("value\n1.0\n2.0\n")

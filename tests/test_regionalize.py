@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from smaup import (
     AreaVariable,
@@ -17,7 +20,7 @@ from smaup import (
     random_regions,
     validate_regionalization,
 )
-from smaup.regionalize import regionalization_from_csv, regionalization_to_csv
+from smaup.regionalize import _bounded_draws, regionalization_from_csv, regionalization_to_csv
 
 
 def union_find_region_check(assignment, neighbors, k) -> bool:
@@ -41,6 +44,58 @@ def union_find_region_check(assignment, neighbors, k) -> bool:
     if sorted(roots_per_label) != list(range(k)):
         return False
     return all(len(roots) == 1 for roots in roots_per_label.values())
+
+
+def reference_random_regions(w, k, seed):
+    """Oracle: the set-based seed growth that ``random_regions`` replaced.
+
+    Each step draws with scalar ``rng.integers`` and sorts the region's
+    lazily cleaned frontier set; ``random_regions`` must give the same
+    assignment for every (w, k, seed).
+    """
+    n = w.n
+    rng = np.random.default_rng(seed)
+    assignment = np.full(n, -1, dtype=np.int64)
+    seeds = rng.choice(n, size=k, replace=False)
+    for region, area in enumerate(seeds):
+        assignment[area] = region
+    frontiers = [{j for j in w.neighbors[area] if assignment[j] < 0} for area in seeds]
+    active = [r for r in range(k) if frontiers[r]]
+    remaining = n - k
+    while remaining and active:
+        pos = int(rng.integers(len(active)))
+        region = active[pos]
+        frontier = frontiers[region]
+        frontier.difference_update([a for a in frontier if assignment[a] >= 0])
+        if not frontier:
+            active.pop(pos)
+            continue
+        ordered = sorted(frontier)
+        area = ordered[int(rng.integers(len(ordered)))]
+        frontier.discard(area)
+        assignment[area] = region
+        remaining -= 1
+        for j in w.neighbors[area]:
+            if assignment[j] < 0:
+                frontier.add(j)
+        if not frontier and pos < len(active) and active[pos] == region:
+            active.pop(pos)
+    return assignment
+
+
+def adjacency_text(neighbor_sets) -> str:
+    return "\n".join(f"{i}: " + " ".join(map(str, sorted(row)))
+                     for i, row in enumerate(neighbor_sets))
+
+
+def delaunay_weights(n, seed):
+    """Contiguity of a Delaunay triangulation of n uniform random points."""
+    points = np.random.default_rng(seed).random((n, 2))
+    sets = [set() for _ in range(n)]
+    for simplex in Delaunay(points).simplices:
+        for a in simplex:
+            sets[a].update(int(b) for b in simplex if b != a)
+    return from_adjacency_text(adjacency_text(sets))
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +145,81 @@ class TestRandomRegions:
         for seed in range(3):
             with pytest.raises(ContiguityError):
                 random_regions(w, 2, seed=seed)
+
+
+ORACLE_GRAPHS = {
+    "lattice10x10": lambda: build_lattice_rook(10, 10),
+    "lattice7x13": lambda: build_lattice_rook(7, 13),
+    "lattice45x45": lambda: build_lattice_rook(45, 45),
+    "lattice3x1": lambda: build_lattice_rook(3, 1),
+    "delaunay300": lambda: delaunay_weights(300, seed=11),
+}
+ORACLE_SEEDS = [0, 1, 2] + np.random.default_rng(63).integers(0, 2**63 - 1, size=5).tolist()
+
+
+class TestRegionStream:
+    """The growth consumes one fixed random stream: pinned by the set-based
+    oracle and by assignments recorded from it."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_matches_reference(self, name):
+        w = ORACLE_GRAPHS[name]()
+        n = w.n
+        for k in sorted({1, 2, max(1, n // 10), max(1, n // 2), n - 1, n} - {0}):
+            for seed in ORACLE_SEEDS:
+                got = random_regions(w, k, seed=seed).assignment
+                assert np.array_equal(got, reference_random_regions(w, k, seed)), (k, seed)
+
+    @pytest.mark.parametrize("shape, k, seed, labels", [
+        ((3, 1), 2, 0, "001"),
+        ((4, 4), 3, 5, "2221011101110000"),
+        ((7, 13), 9, 2**62 + 12345,
+         "1110000222222166660002222266666666222223444555662777333355552277733388855577773888888855777"),
+        ((10, 10), 7, 33,
+         "4444444444444444433311414543331111554333166665432311165555221105555522110005552211000522221100000022"),
+    ])
+    def test_recorded_assignments(self, shape, k, seed, labels):
+        # recorded from the scalar-draw implementation; a change inside numpy's
+        # bounded integers would move both the oracle and this function
+        got = random_regions(build_lattice_rook(*shape), k, seed=seed).assignment
+        assert "".join(map(str, got.tolist())) == labels
+
+    def test_bounded_draws_equal_generator_integers(self):
+        ranges = [1, 2, 3, 7, 100, 2**31 + 1, 2**32 - 1, 3 * 2**30] * 40
+        expected = np.random.default_rng(9)
+        # a block of 3 words forces a refill every few draws
+        draw = _bounded_draws(np.random.default_rng(9), block=3)
+        assert [draw(m) for m in ranges] == [int(expected.integers(m)) for m in ranges]
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1-40 areas plus up to 2n extra edges."""
+    n = draw(st.integers(1, 40))
+    sets = [set() for _ in range(n)]
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        sets[i].add(j)
+        sets[j].add(i)
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for a, b in draw(st.lists(pairs, max_size=2 * n)):
+            if a != b:
+                sets[a].add(b)
+                sets[b].add(a)
+    return from_adjacency_text(adjacency_text(sets))
+
+
+class TestRandomConnectedGraphs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1))
+    def test_partition_properties(self, data, w, seed):
+        k = data.draw(st.integers(1, w.n))
+        r = random_regions(w, k, seed=seed)
+        assert r.assignment.shape == (w.n,)
+        assert np.unique(r.assignment).tolist() == list(range(k))
+        assert union_find_region_check(r.assignment, w.neighbors, k)
+        assert np.array_equal(r.assignment, reference_random_regions(w, k, seed))
 
 
 class TestAggregateMean:
