@@ -21,6 +21,7 @@ report an empirical pseudo-p against a user-supplied simulated null vector.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,6 +282,16 @@ def scan_k(
         raise ShapeMismatchError(f"null was simulated for N={null_n}, but weights has n={w.n}")
     nv = _null_values(null)
     rho_used = float(rho) if rho is not None else estimate_rho(w, y)
+    null_rho = getattr(null, "rho", None)
+    if null_rho is not None:
+        null_cell, cell = (table.rho_grid[table._snap_rho(r)] for r in (null_rho, rho_used))
+        if null_cell != cell:
+            warnings.warn(
+                f"null was simulated at rho={null_rho:g} (table cell {null_cell:g}), but the "
+                f"variable's rho is {rho_used:.4g} (cell {cell:g}); the pseudo-p prices M "
+                f"against a null for another rho",
+                stacklevel=2,
+            )
     crit = {a: table.lookup(w.n, rho_used, a) for a in ALPHA_GRID}
     ks = range(k_max, k_min - 1, -1)
     thetas = np.asarray(ks, dtype=np.float64) / w.n

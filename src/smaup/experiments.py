@@ -42,7 +42,14 @@ from .core import DEFAULT_PARAMS, SmaupParams, m_statistic
 from .critical_values import DEFAULT_TABLE, CriticalValueTable
 from .errors import ExperimentStallError, InvalidDimensionError, InvalidKError
 from .regionalize import aggregate_mean, random_regions
-from .sar import AreaVariable, SarSpec, estimate_rho, generate_sar, generate_with_target_rho
+from .sar import (
+    AreaVariable,
+    SarSpec,
+    estimate_rho,
+    generate_sar,
+    generate_with_target_rho,
+    w_eigenvalues,
+)
 from .seeding import derive_rng, derive_seed
 from .stats import levene_test, mean_over_repeats, welch_t_test
 from .weights import SpatialWeights, build_lattice_rook
@@ -251,6 +258,7 @@ def generate_null(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     w = w_or_n if isinstance(w_or_n, SpatialWeights) else lattice_for_area_count(int(w_or_n))
+    w_eigenvalues(w)  # cached once, before fan-out: every replicate estimates rho on w
     tasks = [
         (w, rho, master_seed, (0, j), "never_reject", r) for j in range(replicates)
     ]
@@ -326,6 +334,8 @@ def _rejection_experiment(
     n_values = [int(n) for n in n_values]
     rho_values = [float(rho) for rho in rho_values]
     lattices = {n: lattice_for_area_count(n) for n in n_values}
+    for w in lattices.values():
+        w_eigenvalues(w)  # cached once: every instance estimates rho on its lattice
     cells = [(ci, n, rho) for ci, (n, rho) in enumerate(
         [(n, rho) for n in n_values for rho in rho_values]
     )]
@@ -591,6 +601,8 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
     tasks = []
     for n_index, n in enumerate(n_values):
         w = lattice_for_area_count(n)
+        if config.rho_isolation:
+            w_eigenvalues(w)  # cached once: rank-matching estimates rho on w again and again
         ks = tuple(config.k_lists[n])
         infeasible = [k for k in ks if k > n]
         if infeasible:

@@ -171,8 +171,9 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     assignment = [-1] * n
     for region, area in enumerate(seeds):
         assignment[area] = region
-    # frontiers[r] is exactly the sorted list of unassigned areas adjacent to r
-    frontiers = [sorted([j for j in neighbors[area] if assignment[j] < 0]) for area in seeds]
+    # frontiers[r] is exactly the sorted list of unassigned areas adjacent to r;
+    # neighbor rows are ascending, an invariant SpatialWeights checks
+    frontiers = [[j for j in neighbors[area] if assignment[j] < 0] for area in seeds]
     active = [r for r in range(k) if frontiers[r]]
     draw = _bounded_draws(rng, 2 * (n - k) + 16)
     remaining = n - k

@@ -4,10 +4,21 @@ rank-matching permutation toward a target level of spatial autocorrelation.
 A SAR field solves ``(I - rho * W) y = eps`` with standard-normal innovations.
 The autoregressive parameter of an observed variable is recovered by maximum
 likelihood: the concentrated log-likelihood of the intercept-only spatial lag
-model, with the log-determinant term evaluated through the (cached)
-eigenvalues of W. ML is one of several possible estimators; it is used here
-because it is exact and fast in the dense n <= ~2000 regime this toolkit
-targets.
+model. ML is one of several possible estimators; it is used here because it
+is exact and, with the log-determinant evaluated as below, fast at every size.
+
+log det(I - rho W) comes from one of two places. The eigenvalues of W,
+computed once and cached on the weights, make every later evaluation O(n),
+so they serve whenever they are cached: a Monte Carlo run (``experiments``)
+computes them before it fans out and amortizes them over hundreds of
+estimates. Otherwise one size rule, ``_SPARSE_MIN_N``, decides. Below it
+(every size of the critical-value table) the spectrum is computed on first
+use. At and above it, where a single estimate costs less by sparse LU than
+one cold eigendecomposition, each evaluation factorises (I - rho W) by
+sparse LU (Barry & Pace 1999; LeSage & Pace 2009, ch. 4) and sums
+log|diag U|, and no n x n array is built. The same rule picks a dense or a
+sparse-LU SAR solve. A non-standardized W on the sparse side gets its
+stability interval from two Lanczos runs for its extreme eigenvalues.
 """
 
 from __future__ import annotations
@@ -37,12 +48,20 @@ __all__ = [
     "estimate_rho",
     "rank_permute",
     "generate_with_target_rho",
+    "w_eigenvalues",
     "area_variable_to_csv",
     "area_variable_from_csv",
 ]
 
-# Above this size the (I - rho W) solve switches from dense LU to sparse LU.
-_DENSE_SOLVE_LIMIT = 2500
+# From this many areas on, rho estimation and the SAR solve factorise
+# (I - rho W) by sparse LU instead of using W's eigenvalues and a dense solve.
+# It is the single-shot crossover of one estimate_rho call on shuffled rook
+# grids, one BLAS thread (2-core Xeon, numpy 2.4, scipy 1.17): cold spectrum
+# vs sparse LU 0.098 vs 0.094 s at n=900, 0.167 vs 0.134 s at 1024, 0.96 vs
+# 0.31 s at 2025. Every table size (n <= 900) stays below it, where a Monte
+# Carlo run reuses one spectrum for hundreds of estimates. A spectrum already
+# cached on the weights is used at any size (see ``w_eigenvalues``).
+_SPARSE_MIN_N = 1000
 
 _RHO_SEARCH_LO = -0.999
 _RHO_SEARCH_HI = 0.999
@@ -115,9 +134,8 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
         lambda_min <= -1, so ``SarSpec``'s |rho| < 1 already keeps it stable.
     """
     if not w.standardized and spec.rho != 0.0:
-        lam = _w_eigenvalues(w)
-        lo, hi = float(lam[0]), float(lam[-1])
-        if (lo < 0.0 and spec.rho <= 1.0 / lo) or (hi > 0.0 and spec.rho >= 1.0 / hi):
+        lo, hi = _eigenvalue_range(w)
+        if not _stable(spec.rho, lo, hi):
             raise NumericalError(
                 f"rho={spec.rho} is outside the stability interval (1/lambda_min, "
                 f"1/lambda_max) of the non-standardized weights, with eigenvalues "
@@ -128,12 +146,11 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
     if spec.rho == 0.0:
         return AreaVariable(values=eps, weights=w)
     try:
-        if w.n <= _DENSE_SOLVE_LIMIT:
+        if w.n < _SPARSE_MIN_N:
             a = np.eye(w.n) - spec.rho * w.dense
             y = scipy.linalg.solve(a, eps)
         else:
-            a = sp.identity(w.n, format="csc") - spec.rho * w.sparse.tocsc()
-            y = sp.linalg.splu(a).solve(eps)
+            y = _sparse_lu(w.sparse.tocsc(), spec.rho).solve(eps)
     except (scipy.linalg.LinAlgError, RuntimeError) as exc:
         raise NumericalError(f"(I - rho W) is singular at rho={spec.rho}") from exc
     if not np.all(np.isfinite(y)):
@@ -141,8 +158,21 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
     return AreaVariable(values=y, weights=w)
 
 
-def _w_eigenvalues(w: SpatialWeights) -> np.ndarray:
-    """Real eigenvalues of W, cached on the weights object.
+def _has_spectrum(w: SpatialWeights) -> bool:
+    """True iff the eigenvalue path applies: small W, or spectrum already cached."""
+    return w.n < _SPARSE_MIN_N or "_sar_eigenvalues" in w.__dict__
+
+
+def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
+    """Real eigenvalues of W, ascending, cached on the weights object.
+
+    A caller about to estimate rho many times on one W, such as a Monte
+    Carlo run before it fans out to workers (the cache travels with the
+    pickled weights), calls this once. Every later ``estimate_rho`` on ``w``
+    then evaluates log det(I - rho W) from the spectrum in O(n), at any
+    size; without it, ``_SPARSE_MIN_N`` areas and up take 30-odd sparse LU
+    factorisations per estimate. The first call costs O(n^3) time and a few
+    n x n arrays; none of them stays cached on ``w``.
 
     For row-standardized W = D^-1 A with symmetric binary A, W is similar to
     the symmetric D^-1/2 A D^-1/2, so a symmetric eigensolver applies.
@@ -159,11 +189,85 @@ def _w_eigenvalues(w: SpatialWeights) -> np.ndarray:
         sym = a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
         lam = scipy.linalg.eigvalsh(sym)
     else:
-        lam = np.sort(scipy.linalg.eigvals(w.dense).real)
+        lam = np.sort(scipy.linalg.eigvals(w.sparse.toarray()).real)
     lam = np.ascontiguousarray(lam)
     lam.flags.writeable = False
     w.__dict__["_sar_eigenvalues"] = lam
     return lam
+
+
+def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of W.
+
+    Below ``_SPARSE_MIN_N``, or when the spectrum is cached, they are read
+    off the spectrum. Otherwise two ARPACK runs from a fixed start vector find them, so the
+    pair is deterministic: Lanczos (``eigsh``) for a symmetric W, which is
+    every non-standardized W the constructors build, else Arnoldi (``eigs``)
+    on real parts, as the spectrum path reads them. The pair is cached on the
+    weights object like the spectrum.
+    """
+    if _has_spectrum(w):
+        lam = w_eigenvalues(w)
+        return float(lam[0]), float(lam[-1])
+    cached = w.__dict__.get("_sar_eigenvalue_range")
+    if cached is not None:
+        return cached
+    a = w.sparse
+    if (a != a.T).nnz:
+        solver, ends = sp.linalg.eigs, ("SR", "LR")
+    else:
+        solver, ends = sp.linalg.eigsh, ("SA", "LA")
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
+    lo, hi = (
+        float(solver(a, k=1, which=which, v0=v0, return_eigenvectors=False)[0].real)
+        for which in ends
+    )
+    w.__dict__["_sar_eigenvalue_range"] = (lo, hi)
+    return lo, hi
+
+
+def _stable(rho: float, lo: float, hi: float) -> bool:
+    """True iff rho lies in the stability interval (1 / lo, 1 / hi) of W."""
+    return not ((lo < 0.0 and rho <= 1.0 / lo) or (hi > 0.0 and rho >= 1.0 / hi))
+
+
+def _sparse_lu(w_csc: sp.csc_matrix, rho: float):
+    """SuperLU factorisation of (I - rho W), default COLAMD column ordering."""
+    return sp.linalg.splu(sp.identity(w_csc.shape[0], format="csc") - rho * w_csc)
+
+
+def _log_det_function(w: SpatialWeights):
+    """log det(I - rho W) as a function of rho, -inf where it does not exist.
+
+    Below ``_SPARSE_MIN_N``, or when the spectrum is cached, it sums
+    log(1 - rho * lambda) over the eigenvalues of W; outside the stable range
+    of a non-standardized W some 1 - rho * lambda turns negative and the sum
+    is not finite. Otherwise it sums log|diag U| of a sparse LU
+    factorisation; |det| stays finite outside the stability interval, so a
+    non-standardized W is bounded explicitly.
+    """
+    if _has_spectrum(w):
+        lam = w_eigenvalues(w)
+
+        def log_det(rho: float) -> float:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return float(np.sum(np.log1p(-rho * lam)))
+
+        return log_det
+
+    w_csc = w.sparse.tocsc()
+    bounds = None if w.standardized else _eigenvalue_range(w)
+
+    def log_det(rho: float) -> float:
+        if bounds is not None and not _stable(rho, *bounds):
+            return -math.inf
+        try:
+            lu = _sparse_lu(w_csc, rho)
+        except RuntimeError:  # exactly singular
+            return -math.inf
+        return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
+
+    return log_det
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
@@ -189,8 +293,8 @@ def _concentrated_loglik_terms(w: SpatialWeights, y: np.ndarray):
     """Precompute the pieces of the concentrated log-likelihood in rho.
 
     Intercept-only spatial lag model: residuals of y and Wy on the constant,
-    sum of squares expressed as a quadratic in rho, plus the eigenvalue form
-    of log det(I - rho W).
+    sum of squares expressed as a quadratic in rho, plus log det(I - rho W)
+    from ``_log_det_function``.
     """
     n = y.shape[0]
     wy = w.sparse @ y
@@ -199,16 +303,15 @@ def _concentrated_loglik_terms(w: SpatialWeights, y: np.ndarray):
     s00 = float(e0 @ e0)
     s01 = float(e0 @ e1)
     s11 = float(e1 @ e1)
-    lam = _w_eigenvalues(w)
+    log_det = _log_det_function(w)
 
     def loglik(rho: float) -> float:
         sse = s00 - 2.0 * rho * s01 + rho * rho * s11
         if sse <= 0.0 or not math.isfinite(sse):
             return -math.inf
-        # outside the stable range of non-standardized W, 1 - rho*lam turns
-        # negative; treat that region as infinitely unlikely
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logdet = float(np.sum(np.log1p(-rho * lam)))
+        # outside the stable range of non-standardized W the log-determinant
+        # does not exist; treat that region as infinitely unlikely
+        logdet = log_det(rho)
         if not math.isfinite(logdet):
             return -math.inf
         return -(n / 2.0) * math.log(sse / n) + logdet
@@ -221,7 +324,8 @@ def estimate_rho(w: SpatialWeights, y: AreaVariable) -> float:
 
     Maximizes the concentrated log-likelihood over rho in (-0.999, 0.999)
     by golden-section search to 1e-6, with log det(I - rho W) evaluated via
-    the precomputed eigenvalues of W.
+    the cached eigenvalues of W, or by sparse LU from ``_SPARSE_MIN_N``
+    areas on unless ``w_eigenvalues(w)`` ran (see the module docstring).
 
     Raises
     ------

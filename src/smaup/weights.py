@@ -33,8 +33,9 @@ __all__ = [
     "to_adjacency_text",
 ]
 
-# Hard cap on lattice size; beyond this the dense machinery downstream is
-# unusable anyway and rows*cols is treated as an overflow.
+# Hard cap on lattice size, far above what the sparse SAR path needs memory
+# for (rho estimation on 10^4 areas peaks under 100 MB); rows*cols beyond it
+# is treated as an overflow.
 _MAX_AREAS = 10**8
 
 ROW_SUM_TOL = 1e-12
@@ -50,7 +51,7 @@ class SpatialWeights:
         Number of areas.
     neighbors : tuple of tuple of int
         ``neighbors[i]`` lists the areas adjacent to area ``i`` in ascending
-        index order.
+        index order (checked; ``from_dict`` sorts its rows).
     weights : tuple of tuple of float
         ``weights[i][j]`` is the weight of the edge from ``i`` to
         ``neighbors[i][j]``. Rows sum to 1 when ``standardized``.
@@ -85,6 +86,8 @@ class SpatialWeights:
                 )
             if len(neighbor_sets[i]) != len(row):
                 raise InvalidDimensionError(f"area {i}: duplicate neighbor entries")
+            if any(a > b for a, b in zip(row, row[1:])):
+                raise InvalidDimensionError(f"area {i}: neighbors are not in ascending order")
             for j in row:
                 if not 0 <= j < self.n:
                     raise InvalidDimensionError(
@@ -122,7 +125,11 @@ class SpatialWeights:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """Weight matrix W as a dense array (use only for modest n)."""
+        """Weight matrix W as a dense n x n array.
+
+        Only the small-n SAR path reads it (below ``sar._SPARSE_MIN_N``
+        areas); it costs 8 n^2 bytes, 800 MB at n = 10^4.
+        """
         return self.sparse.toarray()
 
     @cached_property
@@ -151,10 +158,20 @@ class SpatialWeights:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpatialWeights":
+        """Inverse of :meth:`to_dict`. Each row is sorted by neighbor index,
+        its weights permuted with it."""
+        neighbors = [tuple(int(j) for j in row) for row in d["neighbors"]]
+        weights = [tuple(float(w) for w in row) for row in d["weights"]]
+        for i, (nbrs, wts) in enumerate(zip(neighbors, weights)):
+            # a row whose lengths differ is left for __post_init__ to reject
+            if len(nbrs) == len(wts):
+                order = sorted(range(len(nbrs)), key=nbrs.__getitem__)
+                neighbors[i] = tuple(nbrs[k] for k in order)
+                weights[i] = tuple(wts[k] for k in order)
         return cls(
             n=int(d["n"]),
-            neighbors=tuple(tuple(int(j) for j in row) for row in d["neighbors"]),
-            weights=tuple(tuple(float(w) for w in row) for row in d["weights"]),
+            neighbors=tuple(neighbors),
+            weights=tuple(weights),
             standardized=bool(d["standardized"]),
         )
 

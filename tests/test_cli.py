@@ -229,6 +229,17 @@ class TestTestCommand:
         assert code == 2
         assert "N=25" in err
 
+    def test_null_for_another_rho_warns(self, tmp_path, weights_file, values_file, capsys):
+        # the values field estimates rho at -0.28, in the table's -0.3 cell
+        null_path = tmp_path / "null09.json"
+        nd = NullDistribution(n=100, rho=0.9, values=np.linspace(0.2, 0.9, 20), replicates=20)
+        null_path.write_text(nd.to_json())
+        common = ["--values", values_file, "--weights", weights_file, "--null", str(null_path)]
+        for args in (["test", *common, "--k", "30"], ["scan", *common, "--k-min", "28"]):
+            with pytest.warns(UserWarning, match=r"rho=0\.9 .*-0\.28"):
+                code, out, _ = run(args, capsys)
+            assert code == 0
+
 
 class TestScanCommand:
     def test_verdict_matches_brute_force(self, weights_file, values_file, capsys):

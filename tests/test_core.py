@@ -1,6 +1,7 @@
 """Tests for the sensitivity statistic, its components, and the test logic."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -281,3 +282,44 @@ class TestScanSharesOnePath:
             min_safe_k(y, w, null=null25)
         # a bare vector carries no N and is taken as given
         assert smaup_test(y, w, 50, null=null25.values).pseudo_p is not None
+
+
+class TestRhoMismatchedNull:
+    @pytest.fixture(scope="class")
+    def case(self):
+        w = build_lattice_rook(10, 10)
+        y = generate_sar(w, SarSpec(rho=0.0, seed=2))
+        rho_hat = estimate_rho(w, y)
+        assert abs(rho_hat) < 0.05  # a variable with rho near 0
+        return w, y, rho_hat
+
+    @staticmethod
+    def null_at(rho):
+        return NullDistribution(n=100, rho=rho, values=np.linspace(0.01, 0.4, 20), replicates=20)
+
+    def test_null_from_another_rho_cell_warns_naming_both(self, case):
+        w, y, rho_hat = case
+        null = self.null_at(0.9)
+        for call in (
+            lambda: smaup_test(y, w, 30, null=null),
+            lambda: scan_k(y, w, k_min=20, k_max=30, null=null),
+            lambda: min_safe_k(y, w, null=null),
+        ):
+            with pytest.warns(UserWarning, match="null was simulated at rho=0.9") as record:
+                call()
+            assert f"{rho_hat:.4g}" in str(record[0].message)
+        with pytest.warns(UserWarning, match=r"rho=0\.9.*is 0\.5"):
+            smaup_test(y, w, 30, null=null, rho=0.5)
+
+    @pytest.mark.parametrize("null_rho", [0.0, 0.1, -0.14])
+    def test_same_rho_cell_is_silent(self, case, null_rho):
+        w, y, _ = case
+        null = self.null_at(null_rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            smaup_test(y, w, 30, null=null)
+            scan_k(y, w, k_min=20, k_max=30, null=null)
+            min_safe_k(y, w, null=null)
+            smaup_test(y, w, 30, null=self.null_at(0.9), rho=0.85)
+            # a bare vector carries no rho and is taken as given
+            smaup_test(y, w, 30, null=self.null_at(0.9).values)

@@ -1,23 +1,38 @@
 """Tests for SAR generation, rho estimation, and rank-matching permutation."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 import scipy.stats
 
+import smaup
 from smaup import (
     AreaVariable,
     DegenerateInputError,
+    NumericalError,
     RetryExhaustedError,
     SarSpec,
     ShapeMismatchError,
+    SpatialWeights,
     build_lattice_rook,
     estimate_rho,
     generate_sar,
     generate_with_target_rho,
     rank_permute,
+    sar,
 )
 from smaup.sar import (
     _concentrated_loglik_terms,
+    _eigenvalue_range,
+    _log_det_function,
     area_variable_from_csv,
     area_variable_to_csv,
 )
@@ -143,6 +158,190 @@ class TestEstimateRho:
         y = generate_sar(w, SarSpec(rho=0.0, seed=1))
         with pytest.raises(Exception, match="n >= 10"):
             estimate_rho(w, y)
+
+
+def shuffled_rook(side, standardized):
+    """A side x side rook lattice with its areas in a seeded random order.
+
+    Rows are handed to ``from_dict`` in permuted, unsorted order, as a
+    shuffled polygon file would produce them.
+    """
+    w = build_lattice_rook(side, side, standardized=standardized)
+    perm = np.random.default_rng(side).permutation(w.n)
+    new_index = np.argsort(perm)
+    neighbors = [[int(new_index[j]) for j in w.neighbors[old]] for old in perm]
+    weights = [[1.0 / len(row) if standardized else 1.0] * len(row) for row in neighbors]
+    return SpatialWeights.from_dict(
+        {"n": w.n, "neighbors": neighbors, "weights": weights, "standardized": standardized}
+    )
+
+
+def rook_extremes(rows, cols):
+    """Exact (lambda_min, lambda_max) of a binary rook lattice."""
+    top = 2.0 * math.cos(math.pi / (rows + 1)) + 2.0 * math.cos(math.pi / (cols + 1))
+    return -top, top
+
+
+def spectrum_path(monkeypatch, w):
+    """Force the eigenvalue path; fill a binary W's cache from the symmetric solver.
+
+    The library takes a binary W's spectrum from the general eigensolver,
+    which is slow at n = 2025; for a symmetric W both give the same values.
+    """
+    monkeypatch.setattr(sar, "_SPARSE_MIN_N", 10**9)
+    if not w.standardized and "_sar_eigenvalues" not in w.__dict__:
+        lam = scipy.linalg.eigvalsh(w.sparse.toarray())
+        lam.flags.writeable = False
+        w.__dict__["_sar_eigenvalues"] = lam
+
+
+def sparse_path(monkeypatch):
+    monkeypatch.setattr(sar, "_SPARSE_MIN_N", 10)
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["standardized", "binary"])
+def shuffled_grids(request):
+    return {side: shuffled_rook(side, request.param) for side in (20, 30, 40, 45)}
+
+
+class TestSparsePath:
+    def test_size_rule(self):
+        assert 900 < sar._SPARSE_MIN_N <= 2025
+        assert not hasattr(sar, "_DENSE_SOLVE_LIMIT")
+
+    @pytest.mark.parametrize("side", [20, 30, 40, 45])
+    def test_estimate_matches_spectrum_path(self, monkeypatch, shuffled_grids, side):
+        w = shuffled_grids[side]
+        rho = 0.5 if w.standardized else 0.15
+        y = generate_sar(w, SarSpec(rho=rho, seed=side))
+        spectrum_path(monkeypatch, w)
+        by_spectrum = estimate_rho(w, y)
+        sparse_path(monkeypatch)
+        by_lu = estimate_rho(w, y)
+        assert abs(by_lu - by_spectrum) <= 1e-6
+        assert abs(by_lu - rho) < 0.1
+
+    @pytest.mark.parametrize("side", [20, 45])
+    def test_log_det_matches_spectrum(self, monkeypatch, shuffled_grids, side):
+        w = shuffled_grids[side]
+        rhos = [-0.9, -0.5, 0.0, 0.3, 0.7, 0.95] if w.standardized else [-0.24, -0.1, 0.1, 0.24]
+        spectrum_path(monkeypatch, w)
+        by_spectrum = _log_det_function(w)
+        sparse_path(monkeypatch)
+        by_lu = _log_det_function(w)
+        for rho in rhos:
+            assert by_lu(rho) == pytest.approx(by_spectrum(rho), rel=0, abs=1e-10)
+
+    def test_factorises_with_default_colamd_ordering(self, monkeypatch):
+        # per factorisation on a shuffled 45 x 45 grid (2-core Xeon, one BLAS thread):
+        # MMD_AT_PLUS_A 37 ms, COLAMD 6.8 ms
+        orderings = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(a, *args, **kwargs):
+            orderings.append(kwargs.get("permc_spec", args[0] if args else "COLAMD"))
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        w = shuffled_rook(32, True)
+        y = generate_sar(w, SarSpec(rho=0.5, seed=1))
+        estimate_rho(w, y)
+        assert len(orderings) > 30
+        assert set(orderings) == {"COLAMD"}
+
+    def test_binary_stability_interval_from_lanczos(self):
+        w = build_lattice_rook(51, 51, standardized=False)
+        lo, hi = _eigenvalue_range(w)
+        assert (lo, hi) == pytest.approx(rook_extremes(51, 51), rel=0, abs=1e-12)
+        assert w.__dict__["_sar_eigenvalue_range"] == (lo, hi)
+        for rho in (1.0 / hi + 1e-6, 0.3, 0.9, 1.0 / lo - 1e-6, -0.3):
+            with pytest.raises(NumericalError, match="stability interval"):
+                generate_sar(w, SarSpec(rho=rho, seed=0))
+        spec = SarSpec(rho=0.25, seed=0)
+        y = generate_sar(w, spec)
+        eps = np.random.default_rng(0).standard_normal(w.n)
+        assert np.allclose(y.values - spec.rho * (w.sparse @ y.values), eps, atol=1e-9)
+
+    def test_asymmetric_weights_interval_from_arnoldi(self, monkeypatch):
+        # W = D A with symmetric binary A is similar to D^1/2 A D^1/2: real spectrum
+        base = build_lattice_rook(15, 15, standardized=False)
+        scale = np.random.default_rng(7).uniform(0.5, 1.5, base.n)
+        w = SpatialWeights(
+            n=base.n, neighbors=base.neighbors, standardized=False,
+            weights=tuple(tuple(float(scale[i]) for _ in row)
+                          for i, row in enumerate(base.neighbors)),
+        )
+        root = np.sqrt(scale)
+        lam = scipy.linalg.eigvalsh(root[:, None] * base.sparse.toarray() * root[None, :])
+        sparse_path(monkeypatch)
+        assert _eigenvalue_range(w) == pytest.approx((lam[0], lam[-1]), rel=1e-10)
+
+    def test_binary_likelihood_is_minus_inf_outside_the_interval(self):
+        w = build_lattice_rook(51, 51, standardized=False)
+        y = generate_sar(w, SarSpec(rho=0.2, seed=5))
+        lo, hi = rook_extremes(51, 51)
+        loglik = _concentrated_loglik_terms(w, y.values)
+        for rho in (1.0 / hi + 1e-6, 0.26, 0.5, 0.99, 1.0 / lo - 1e-6, -0.5):
+            assert loglik(rho) == -math.inf
+        for rho in (1.0 / hi - 1e-3, 0.0, 1.0 / lo + 1e-3):
+            assert math.isfinite(loglik(rho))
+        assert 1.0 / lo < estimate_rho(w, y) < 1.0 / hi
+
+    @pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "binary"])
+    def test_cached_spectrum_serves_every_size(self, monkeypatch, standardized):
+        w = shuffled_rook(20, standardized)
+        rho = 0.5 if standardized else 0.15
+        y = generate_sar(w, SarSpec(rho=rho, seed=3))
+        spectrum_path(monkeypatch, w)
+        by_spectrum = estimate_rho(w, y)
+        sparse_path(monkeypatch)
+        factorisations = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **kw: factorisations.append(1) or splu(*a, **kw))
+        assert estimate_rho(w, y) == by_spectrum
+        assert factorisations == []
+        del w.__dict__["_sar_eigenvalues"]
+        assert abs(estimate_rho(w, y) - by_spectrum) <= 1e-6
+        assert len(factorisations) > 30
+
+    @pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "binary"])
+    def test_monte_carlo_caches_the_spectrum_before_fanning_out(self, monkeypatch, standardized):
+        # at rho = 0 no field is solved, so every factorisation would be a log-det
+        w = build_lattice_rook(10, 10, standardized=standardized)
+        sparse_path(monkeypatch)
+        factorisations = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **kw: factorisations.append(1) or splu(*a, **kw))
+        smaup.generate_null(w, 0.0, replicates=3, r=3, master_seed=1)
+        assert factorisations == []
+        assert "_sar_eigenvalues" in w.__dict__
+        assert "dense" not in w.__dict__
+
+    def test_large_lattice_in_bounded_memory(self):
+        src = str(Path(smaup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        code = (
+            "import json, resource\n"
+            "from smaup import SarSpec, build_lattice_rook, estimate_rho, generate_sar\n"
+            "out = []\n"
+            "for standardized, rho in ((True, 0.5), (False, 0.2)):\n"
+            "    w = build_lattice_rook(100, 100, standardized=standardized)\n"
+            "    rho_hat = estimate_rho(w, generate_sar(w, SarSpec(rho=rho, seed=1)))\n"
+            "    out.append([rho, rho_hat, sorted(w.__dict__)])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps({'peak_mb': peak, 'runs': out}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        doc = json.loads(proc.stdout)
+        assert doc["peak_mb"] < 400
+        for rho, rho_hat, cached in doc["runs"]:
+            assert abs(rho_hat - rho) < 0.05
+            assert "dense" not in cached
+            assert "_sar_eigenvalues" not in cached
 
 
 class TestRankPermute:

@@ -259,6 +259,27 @@ class TestInvariantsAndSerialization:
         with pytest.raises(InvalidDimensionError, match="sums"):
             SpatialWeights(n=2, neighbors=((1,), (0,)), weights=((0.7,), (1.0,)))
 
+    def test_from_dict_sorts_rows_with_their_weights(self):
+        w = SpatialWeights.from_dict({
+            "n": 3,
+            "neighbors": [[2, 1], [0], [0]],
+            "weights": [[0.25, 0.75], [1.0], [1.0]],
+            "standardized": True,
+        })
+        assert w.neighbors == ((1, 2), (0,), (0,))
+        assert w.weights == ((0.75, 0.25), (1.0,), (1.0,))
+        assert w.sparse[0, 1] == 0.75 and w.sparse[0, 2] == 0.25
+
+    def test_unsorted_row_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="ascending"):
+            SpatialWeights(n=3, neighbors=((2, 1), (0,), (0,)),
+                           weights=((0.5, 0.5), (1.0,), (1.0,)))
+
+    def test_from_dict_row_length_mismatch_still_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="2 neighbors but 1 weights"):
+            SpatialWeights.from_dict({"n": 3, "neighbors": [[2, 1], [0], [0]],
+                                      "weights": [[1.0], [1.0], [1.0]], "standardized": False})
+
     def test_neighbor_index_range(self):
         with pytest.raises(InvalidDimensionError, match="outside"):
             SpatialWeights(n=2, neighbors=((5,), ()), weights=((1.0,), ()))
