@@ -5,6 +5,8 @@ Every harness repeats one step, implemented once in :func:`_region_means`:
 aggregate a field into k random contiguous regions and take the region
 means, r times. The region seed of repeat ``rep`` is
 ``derive_seed(*seed_path, rep)``, derived only when that repeat is reached.
+It shares ``random_regions``'s growth loop but skips its validation, and
+its callers take the field's share of Welch and Levene once per field.
 
 The null, power and size harnesses share one instance recipe. A SAR field is
 drawn on a square rook lattice, a region count k is drawn uniformly with
@@ -40,8 +42,8 @@ import numpy as np
 from ._version import __version__ as _toolkit_version
 from .core import DEFAULT_PARAMS, SmaupParams, m_statistic
 from .critical_values import DEFAULT_TABLE, CriticalValueTable
-from .errors import ExperimentStallError, InvalidDimensionError, InvalidKError
-from .regionalize import aggregate_mean, random_regions
+from .errors import CorruptPartitionError, ExperimentStallError, InvalidDimensionError, InvalidKError
+from .regionalize import _check_growable, _grow
 from .sar import (
     AreaVariable,
     SarSpec,
@@ -51,7 +53,7 @@ from .sar import (
     w_eigenvalues,
 )
 from .seeding import derive_rng, derive_seed
-from .stats import levene_test, mean_over_repeats, welch_t_test
+from .stats import _levene, _levene_terms, _sample, _welch, _welch_terms, mean_over_repeats
 from .weights import SpatialWeights, build_lattice_rook
 
 __all__ = [
@@ -185,10 +187,16 @@ def _region_means(y: AreaVariable, w: SpatialWeights, k: int, seed_path: tuple[i
     """Yield the region means of r random aggregations of ``y`` into k regions.
 
     Repeat ``rep`` grows its regions from ``derive_seed(*seed_path, rep)``,
-    derived when the consumer asks for that repeat.
+    derived when the consumer asks for that repeat. The means are those of
+    ``aggregate_mean(y, random_regions(w, k, seed))``, bit for bit.
     """
+    _check_growable(w, k)
     for rep in range(r):
-        yield aggregate_mean(y, random_regions(w, k, seed=derive_seed(*seed_path, rep))).region_means
+        labels = np.array(_grow(w.neighbors, w.n, k, derive_seed(*seed_path, rep)))
+        sizes = np.bincount(labels)
+        if sizes.size != k or sizes.min() < 1:
+            raise CorruptPartitionError(f"grown partition does not use all {k} region labels")
+        yield np.bincount(labels, y.values) / sizes
 
 
 def _accepted_instance(
@@ -217,6 +225,7 @@ def _accepted_instance(
     while True:
         field_seed = derive_seed(master_seed, *path_prefix, _ROLE_SAR, attempt)
         y = generate_sar(w, SarSpec(rho=rho, seed=field_seed))
+        y_terms = _levene_terms(y.values)
         for k_try in range(_K_REDRAWS_PER_FIELD):
             trials += 1
             if trials > _STALL_TRIALS:
@@ -229,7 +238,7 @@ def _accepted_instance(
             k = int(k_rng.integers(lo, hi + 1))
             seed_path = (master_seed, *path_prefix, _ROLE_REGIONS, attempt, k_try)
             if all(
-                levene_test(y.values, means).rejected_at[_FILTER_ALPHA] == want_rejection
+                _levene(*y_terms, *_levene_terms(_sample(means))).rejects(_FILTER_ALPHA) == want_rejection
                 for means in _region_means(y, w, k, seed_path, r)
             ):
                 rho_hat = estimate_rho(w, y)
@@ -336,26 +345,19 @@ def _rejection_experiment(
     lattices = {n: lattice_for_area_count(n) for n in n_values}
     for w in lattices.values():
         w_eigenvalues(w)  # cached once: every instance estimates rho on its lattice
-    cells = [(ci, n, rho) for ci, (n, rho) in enumerate(
-        [(n, rho) for n in n_values for rho in rho_values]
-    )]
+    cells = list(enumerate((n, rho) for n in n_values for rho in rho_values))
     tasks = [
         (lattices[n], rho, master_seed, (ci + 1, j), mode, r)
-        for ci, n, rho in cells
+        for ci, (n, rho) in cells
         for j in range(instances)
     ]
     results = _run_tasks(_instance_task, tasks, workers)
     report_cells = []
-    idx = 0
-    for ci, n, rho in cells:
+    for ci, (n, rho) in cells:
         rejections = 0
-        for _ in range(instances):
-            res = results[idx]
-            idx += 1
+        for res in results[ci * instances:(ci + 1) * instances]:
             rho_used = res["rho_hat"] if reestimate_rho else rho
-            m = m_statistic(rho_used, res["k"] / n, params)
-            if m > table.lookup(n, rho_used, alpha):
-                rejections += 1
+            rejections += m_statistic(rho_used, res["k"] / n, params) > table.lookup(n, rho_used, alpha)
         report_cells.append({"n": n, "rho": rho, "proportion": rejections / instances})
     return PowerSizeReport(
         kind=kind,
@@ -564,20 +566,18 @@ def _effects_instance_task(args) -> dict:
             )
         mu_o = float(y.values.mean())
         var_o = float(y.values.var(ddof=1))
+        y_welch, y_levene = _welch_terms(y.values), _levene_terms(y.values)
         for k_index, k in enumerate(ks):
             rcms, rcvs = [], []
-            t_rej = 0
-            lev_rej = 0
+            t_rej = lev_rej = 0
             seed_path = (master_seed, n_index, instance, _ROLE_REGIONS, rho_index, k_index)
             for means in _region_means(y, w, k, seed_path, r):
                 # zero-mean SAR fields make the signed-divisor relative change
                 # explode; divide by |mean| and flag it in run metadata
                 rcms.append(abs(mu_o - float(means.mean())) / abs(mu_o))
                 rcvs.append(abs(var_o - float(means.var(ddof=1))) / var_o)
-                if welch_t_test(y.values, means).rejected_at[_FILTER_ALPHA]:
-                    t_rej += 1
-                if levene_test(y.values, means).rejected_at[_FILTER_ALPHA]:
-                    lev_rej += 1
+                t_rej += _welch(*y_welch, *_welch_terms(means)).rejects(_FILTER_ALPHA)
+                lev_rej += _levene(*y_levene, *_levene_terms(means)).rejects(_FILTER_ALPHA)
             out[(rho, k)] = {
                 "rcm_bar": mean_over_repeats(rcms),
                 "rcv_bar": mean_over_repeats(rcvs),
@@ -617,11 +617,9 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
     per_instance = _run_tasks(_effects_instance_task, tasks, workers)
 
     cells = []
-    task_idx = 0
     for n_index, n in enumerate(n_values):
         ks = tuple(k for k in config.k_lists[n] if k <= n)
-        instance_results = per_instance[task_idx:task_idx + config.instances]
-        task_idx += config.instances
+        instance_results = per_instance[n_index * config.instances:(n_index + 1) * config.instances]
         for rho in config.rho_values:
             for k in ks:
                 rows = [res[(rho, k)] for res in instance_results]

@@ -3,7 +3,9 @@
 Regions are produced by seed-based growing: k seed areas are drawn uniformly
 without replacement, then regions repeatedly claim a random unassigned
 neighbor until every area is assigned. Each region is contiguous by
-construction. Aggregation uses the unweighted mean of member areas.
+construction. Aggregation uses the unweighted mean of member areas. One
+growth loop serves :func:`random_regions` and, without its validation, the
+Monte Carlo kernel ``experiments._region_means``; both keep its draw contract.
 """
 
 from __future__ import annotations
@@ -116,24 +118,74 @@ def _bounded_draws(rng: np.random.Generator, block: int):
     while its low 32 bits are below ``(2**32 - m) % m``, and return its top
     32 bits. A range of 1 reads no word.
     """
-
-    def words():
-        while True:
-            yield from rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
-
-    next_word = words().__next__
+    words: list[int] = []
+    pos = 0
 
     def draw(m: int) -> int:
+        nonlocal words, pos
         if m == 1:
             return 0
-        x = next_word() * m
-        if (x & 0xFFFFFFFF) < m:
-            threshold = (0x100000000 - m) % m
-            while (x & 0xFFFFFFFF) < threshold:
-                x = next_word() * m
-        return x >> 32
+        while True:
+            if pos == len(words):
+                words = rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
+                pos = 0
+            x = words[pos] * m
+            pos += 1
+            low = x & 0xFFFFFFFF
+            if low >= m or low >= (0x100000000 - m) % m:
+                return x >> 32
 
     return draw
+
+
+def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
+    """Region labels of :func:`random_regions`, for k and a graph already checked.
+
+    A region's frontier is listed when it is first picked: until then it is its
+    seed alone, whose unassigned neighbours are exactly its frontier."""
+    rng = np.random.default_rng(seed)
+    seeds = rng.choice(n, size=k, replace=False).tolist()
+    assignment = [-1] * n
+    for region, area in enumerate(seeds):
+        assignment[area] = region
+    active = []
+    for region, area in enumerate(seeds):
+        for j in neighbors[area]:
+            if assignment[j] < 0:
+                active.append(region)
+                break
+    # frontiers[r]: None until r is first picked, then its sorted frontier (rows ascend)
+    frontiers: list[list[int] | None] = [None] * k
+    draw = _bounded_draws(rng, 2 * (n - k) + 16)
+    remaining = n - k
+    while remaining and active:
+        pos = draw(len(active))
+        region = active[pos]
+        frontier = frontiers[region]
+        if frontier is None:
+            frontier = frontiers[region] = [j for j in neighbors[seeds[region]] if assignment[j] < 0]
+        if not frontier:
+            active.pop(pos)
+            continue
+        area = frontier[draw(len(frontier))]
+        assignment[area] = region
+        remaining -= 1
+        for j in neighbors[area]:
+            owner = assignment[j]
+            if owner < 0:
+                i = bisect_left(frontier, j)
+                if i == len(frontier) or frontier[i] != j:
+                    frontier.insert(i, j)
+            else:
+                # area left the frontier of every listed region it touches
+                owned = frontiers[owner]
+                if owned is not None:
+                    i = bisect_left(owned, area)
+                    if i < len(owned) and owned[i] == area:
+                        del owned[i]
+        if not frontier:
+            active.pop(pos)
+    return assignment
 
 
 def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
@@ -160,49 +212,15 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     ContiguityError
         If the contiguity graph is disconnected.
     """
-    n = w.n
-    if not 1 <= k <= n:
-        raise InvalidKError(f"k must be in [1, {n}], got {k}")
+    _check_growable(w, k)
+    return Regionalization(assignment=np.array(_grow(w.neighbors, w.n, k, seed)), k=k)
+
+
+def _check_growable(w: SpatialWeights, k: int) -> None:
+    if not 1 <= k <= w.n:
+        raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
     if not is_connected(w):
         raise ContiguityError("contiguous regions are impossible on a disconnected graph")
-    rng = np.random.default_rng(seed)
-    neighbors = w.neighbors
-    seeds = rng.choice(n, size=k, replace=False).tolist()
-    assignment = [-1] * n
-    for region, area in enumerate(seeds):
-        assignment[area] = region
-    # frontiers[r] is exactly the sorted list of unassigned areas adjacent to r;
-    # neighbor rows are ascending, an invariant SpatialWeights checks
-    frontiers = [[j for j in neighbors[area] if assignment[j] < 0] for area in seeds]
-    active = [r for r in range(k) if frontiers[r]]
-    draw = _bounded_draws(rng, 2 * (n - k) + 16)
-    remaining = n - k
-    while remaining and active:
-        pos = draw(len(active))
-        region = active[pos]
-        frontier = frontiers[region]
-        if not frontier:
-            active.pop(pos)
-            continue
-        area = frontier[draw(len(frontier))]
-        assignment[area] = region
-        remaining -= 1
-        for j in neighbors[area]:
-            owner = assignment[j]
-            if owner < 0:
-                i = bisect_left(frontier, j)
-                if i == len(frontier) or frontier[i] != j:
-                    frontier.insert(i, j)
-            else:
-                # area left the frontier of every region it touches, its claimant's too
-                owned = frontiers[owner]
-                i = bisect_left(owned, area)
-                if i < len(owned) and owned[i] == area:
-                    del owned[i]
-        if not frontier:
-            active.pop(pos)
-
-    return Regionalization(assignment=np.array(assignment, dtype=np.int64), k=k)
 
 
 def validate_regionalization(r: Regionalization, w: SpatialWeights) -> None:
@@ -232,8 +250,6 @@ def aggregate_mean(y: AreaVariable, r: Regionalization) -> AggregatedVariable:
     if y.n != r.n:
         raise ShapeMismatchError(f"variable has {y.n} values but partition covers {r.n} areas")
     sizes = np.bincount(r.assignment, minlength=r.k)
-    if sizes.size > r.k:
-        raise CorruptPartitionError("assignment contains labels outside [0, k)")
     sums = np.bincount(r.assignment, weights=y.values, minlength=r.k)
     return AggregatedVariable(region_means=sums / sizes, region_sizes=sizes)
 

@@ -171,25 +171,27 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     pickled weights), calls this once. Every later ``estimate_rho`` on ``w``
     then evaluates log det(I - rho W) from the spectrum in O(n), at any
     size; without it, ``_SPARSE_MIN_N`` areas and up take 30-odd sparse LU
-    factorisations per estimate. The first call costs O(n^3) time and a few
-    n x n arrays; none of them stays cached on ``w``.
+    factorisations per estimate. The first call costs O(n^3) time and one
+    n x n array, which is not cached on ``w``.
 
     For row-standardized W = D^-1 A with symmetric binary A, W is similar to
-    the symmetric D^-1/2 A D^-1/2, so a symmetric eigensolver applies.
+    the symmetric D^-1/2 A D^-1/2. That, or any symmetric W, goes to the
+    symmetric eigensolver in place; an asymmetric W to the general one.
     The cache write is idempotent (first-writer-wins under concurrency).
     """
     cached = w.__dict__.get("_sar_eigenvalues")
     if cached is not None:
         return cached
+    a = w.sparse
     if w.standardized:
         deg = w.cardinalities.astype(np.float64)
         deg[deg == 0] = 1.0  # isolated areas contribute a zero eigenvalue either way
-        a = (w.sparse.toarray() > 0).astype(np.float64)
-        d_inv_sqrt = 1.0 / np.sqrt(deg)
-        sym = a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-        lam = scipy.linalg.eigvalsh(sym)
+        d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
+        a = d_inv_sqrt @ (a > 0).astype(np.float64) @ d_inv_sqrt
+    if not (a != a.T).nnz:  # symmetric, as in _eigenvalue_range
+        lam = scipy.linalg.eigvalsh(a.toarray(order="F"), overwrite_a=True)
     else:
-        lam = np.sort(scipy.linalg.eigvals(w.sparse.toarray()).real)
+        lam = np.sort(scipy.linalg.eigvals(a.toarray(), overwrite_a=True).real)
     lam = np.ascontiguousarray(lam)
     lam.flags.writeable = False
     w.__dict__["_sar_eigenvalues"] = lam

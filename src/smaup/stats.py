@@ -124,6 +124,34 @@ def mean_over_repeats(values) -> float:
     return float(arr.mean())
 
 
+def _sample(x) -> np.ndarray:
+    """``x`` as a float vector; a two-sample test needs at least 2 values."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size < 2:
+        raise InsufficientDataError("both samples need at least 2 observations")
+    return arr
+
+
+def _welch_terms(x: np.ndarray) -> tuple[int, float, float]:
+    """One sample's share of Welch's test: size, mean, squared deviations."""
+    if not np.all(np.isfinite(x)):
+        raise DegenerateSampleError("samples must be finite")
+    return (x.size, *_mean_and_ss(x))
+
+
+def _welch(na, mean_a, ss_a, nb, mean_b, ss_b) -> TestOutcome:
+    if ss_a == 0.0 and ss_b == 0.0:
+        raise DegenerateSampleError("both samples have zero variance")
+    # squared standard errors of the two means, and their shares of the total
+    se2_a = ss_a / (na - 1) / na
+    se2_b = ss_b / (nb - 1) / nb
+    se2 = se2_a + se2_b
+    fa, fb = se2_a / se2, se2_b / se2
+    df = 1.0 / (fa * fa / (na - 1) + fb * fb / (nb - 1))
+    t = (mean_a - mean_b) / math.sqrt(se2)
+    return _outcome(t, 2.0 * stdtr(df, -abs(t)))
+
+
 def welch_t_test(a, b) -> TestOutcome:
     """Welch's two-sample t-test (unequal variances), two-sided p.
 
@@ -131,24 +159,25 @@ def welch_t_test(a, b) -> TestOutcome:
     of a disaggregated variable with the mean of an aggregated one, whose
     lengths and variances differ.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise InsufficientDataError("both samples need at least 2 observations")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DegenerateSampleError("samples must be finite")
-    mean_a, ss_a = _mean_and_ss(a)
-    mean_b, ss_b = _mean_and_ss(b)
-    if ss_a == 0.0 and ss_b == 0.0:
-        raise DegenerateSampleError("both samples have zero variance")
-    # squared standard errors of the two means, and their shares of the total
-    se2_a = ss_a / (a.size - 1) / a.size
-    se2_b = ss_b / (b.size - 1) / b.size
-    se2 = se2_a + se2_b
-    fa, fb = se2_a / se2, se2_b / se2
-    df = 1.0 / (fa * fa / (a.size - 1) + fb * fb / (b.size - 1))
-    t = (mean_a - mean_b) / math.sqrt(se2)
-    return _outcome(t, 2.0 * stdtr(df, -abs(t)))
+    a, b = _sample(a), _sample(b)
+    return _welch(*_welch_terms(a), *_welch_terms(b))
+
+
+def _levene_terms(x: np.ndarray, center: str = "mean") -> tuple[int, float, float, float, float]:
+    """One sample's share of Levene's test: size, mean, squared deviations, min, max of |x - center|."""
+    z = np.abs(x - (x.sum() / x.size if center == "mean" else np.median(x)))
+    return (z.size, *_mean_and_ss(z), z.min(), z.max())
+
+
+def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestOutcome:
+    if lo_a == hi_a == lo_b == hi_b:
+        raise DegenerateSampleError("all deviation scores are identical in both groups")
+    z_bar = (na * za_bar + nb * zb_bar) / (na + nb)
+    between = na * (za_bar - z_bar) ** 2 + nb * (zb_bar - z_bar) ** 2
+    within = ss_a + ss_b
+    dfd = na + nb - 2
+    stat = math.inf if within == 0.0 else dfd * between / within
+    return _outcome(stat, fdtrc(1.0, dfd, stat))
 
 
 def levene_test(a, b, center: str = "mean") -> TestOutcome:
@@ -160,25 +189,10 @@ def levene_test(a, b, center: str = "mean") -> TestOutcome:
     sensitivity checks. When every group's scores are constant but the
     groups differ, F is infinite and p is 0.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise InsufficientDataError("both samples need at least 2 observations")
+    a, b = _sample(a), _sample(b)
     if center not in ("mean", "median"):
         raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
-    za = np.abs(a - (a.sum() / a.size if center == "mean" else np.median(a)))
-    zb = np.abs(b - (b.sum() / b.size if center == "mean" else np.median(b)))
-    if za.min() == za.max() == zb.min() == zb.max():
-        raise DegenerateSampleError("all deviation scores are identical in both groups")
-    na, nb = za.size, zb.size
-    za_bar, ss_a = _mean_and_ss(za)
-    zb_bar, ss_b = _mean_and_ss(zb)
-    z_bar = (na * za_bar + nb * zb_bar) / (na + nb)
-    between = na * (za_bar - z_bar) ** 2 + nb * (zb_bar - z_bar) ** 2
-    within = ss_a + ss_b
-    dfd = na + nb - 2
-    stat = math.inf if within == 0.0 else dfd * between / within
-    return _outcome(stat, fdtrc(1.0, dfd, stat))
+    return _levene(*_levene_terms(a, center), *_levene_terms(b, center))
 
 
 def pseudo_p(null_values, m: float) -> float:

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harnesses and their acceptance-sampling recipe."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,9 @@ from smaup import (
     ALPHA_GRID,
     N_GRID,
     RHO_GRID,
+    AreaVariable,
+    ContiguityError,
+    CorruptPartitionError,
     CriticalValueTable,
     EffectsConfig,
     ExperimentStallError,
@@ -16,6 +20,7 @@ from smaup import (
     NullDistribution,
     build_lattice_rook,
     effects_experiment,
+    from_adjacency_text,
     generate_null,
     generate_sar,
     lattice_for_area_count,
@@ -126,6 +131,23 @@ class TestAcceptanceRecipe:
         next(kernel)
         next(kernel)
         assert derived == [(1, 2, 0), (1, 2, 1)]
+
+    def test_kernel_guards_the_partition(self, w100, monkeypatch):
+        # a grower that leaves a label unused must not reach Levene or Welch
+        monkeypatch.setattr(experiments, "_grow", lambda neighbors, n, k, seed: [0] * (n - 1) + [2])
+        y = generate_sar(w100, SarSpec(rho=0.0, seed=1))
+        with pytest.raises(CorruptPartitionError):
+            next(_region_means(y, w100, 3, (1,), 1))
+
+    def test_kernel_checks_k_and_connectivity(self, w100):
+        y = generate_sar(w100, SarSpec(rho=0.0, seed=1))
+        for k in (0, 101):
+            with pytest.raises(InvalidKError):
+                next(_region_means(y, w100, k, (1,), 1))
+        split = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2\n")
+        y4 = AreaVariable(values=np.arange(4.0), weights=split)
+        with pytest.raises(ContiguityError):
+            next(_region_means(y4, split, 2, (1,), 1))
 
     @pytest.mark.parametrize("prefix, mode, k, trials, rho_hat", [
         ((0, 0), "never_reject", 61, 6, -0.13540828322856058),
@@ -290,3 +312,26 @@ class TestEffects:
         assert config.rho_isolation
         # every k list respects its lattice size
         assert all(max(ks) < n for n, ks in config.k_lists.items())
+
+
+def payload_sha256(result) -> str:
+    doc = result.to_dict()
+    del doc["toolkit_version"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, run, sha256", [
+    ("null", lambda: generate_null(100, 0.0, replicates=20, master_seed=1),
+     "b3f8818190bf7c992435c35a7f80493f2d96ba2c6a138a895ac039b4320dcbe2"),
+    ("power", lambda: power_experiment([100], [0.0], instances=15, master_seed=1),
+     "5ac4b8d5a701475ebb7bc8b3c3e5d5a6f9cb0e3a6cbc869e75f1b55e9e071b6a"),
+    ("size", lambda: size_experiment([100], [0.0], instances=20, master_seed=1),
+     "849a6220006cd0c5b7caebda8a2fc608d8f3480140b526ba5c58a94a8cbd6bae"),
+    ("effects", lambda: effects_experiment(EffectsConfig(
+        k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
+        master_seed=1)),
+     "9970da91cb6a30c71f8c3395c4dbf2974fd836abec5a59979b90bbe7f25771b3"),
+])
+def test_payload_bytes_pinned(name, run, sha256):
+    # any change of a random stream or of a reported figure moves these digests
+    assert payload_sha256(run()) == sha256, name

@@ -1,5 +1,6 @@
 """Tests for random contiguous aggregation and mean aggregation."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,14 @@ from smaup import (
     random_regions,
     validate_regionalization,
 )
-from smaup.regionalize import _bounded_draws, regionalization_from_csv, regionalization_to_csv
+from smaup.experiments import _region_means
+from smaup.regionalize import (
+    _bounded_draws,
+    _grow,
+    regionalization_from_csv,
+    regionalization_to_csv,
+)
+from smaup.seeding import derive_seed
 
 
 def union_find_region_check(assignment, neighbors, k) -> bool:
@@ -220,6 +228,46 @@ class TestRandomConnectedGraphs:
         assert np.unique(r.assignment).tolist() == list(range(k))
         assert union_find_region_check(r.assignment, w.neighbors, k)
         assert np.array_equal(r.assignment, reference_random_regions(w, k, seed))
+
+
+def assert_regions_connected_by_networkx(w, labels, k):
+    """Independent oracle: networkx sees every label's areas as one component."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(w.n))
+    graph.add_edges_from((i, j) for i, row in enumerate(w.neighbors) for j in row)
+    members = {}
+    for area, label in enumerate(labels):
+        members.setdefault(label, []).append(area)
+    assert sorted(members) == list(range(k))
+    for label, areas in members.items():
+        assert nx.is_connected(graph.subgraph(areas)), label
+
+
+class TestMonteCarloKernel:
+    """``experiments._region_means`` grows with ``_grow`` and takes means by
+    bincount, skipping the public path's validation; the figures match."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1))
+    def test_means_equal_public_path(self, data, w, seed):
+        k = data.draw(st.integers(1, w.n))
+        values = np.random.default_rng(seed).standard_normal(w.n)
+        y = AreaVariable(values=values, weights=w)
+        path = (seed, k)
+        got = list(_region_means(y, w, k, path, 3))
+        assert len(got) == 3
+        for rep, means in enumerate(got):
+            public = aggregate_mean(y, random_regions(w, k, seed=derive_seed(*path, rep)))
+            assert np.array_equal(means, public.region_means)
+        labels = _grow(w.neighbors, w.n, k, derive_seed(*path, 0))
+        assert_regions_connected_by_networkx(w, labels, k)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_grown_regions_connected_by_networkx(self, name):
+        w = ORACLE_GRAPHS[name]()
+        for k in sorted({1, 2, max(1, w.n // 10), max(1, w.n // 2), w.n - 1} - {0}):
+            for seed in ORACLE_SEEDS[:4]:
+                assert_regions_connected_by_networkx(w, _grow(w.neighbors, w.n, k, seed), k)
 
 
 class TestAggregateMean:

@@ -35,6 +35,7 @@ from smaup.sar import (
     _log_det_function,
     area_variable_from_csv,
     area_variable_to_csv,
+    w_eigenvalues,
 )
 
 
@@ -160,6 +161,70 @@ class TestEstimateRho:
             estimate_rho(w, y)
 
 
+def scaled_rows(base, seed):
+    """A non-standardized W = D A: row i of a binary lattice scaled by d_i.
+
+    Not symmetric, but similar to D^1/2 A D^1/2, so its spectrum is real.
+    """
+    scale = np.random.default_rng(seed).uniform(0.5, 1.5, base.n)
+    w = SpatialWeights(
+        n=base.n, neighbors=base.neighbors, standardized=False,
+        weights=tuple(tuple(float(scale[i]) for _ in row) for i, row in enumerate(base.neighbors)),
+    )
+    return w, scale
+
+
+class TestEigenvalues:
+    def test_standardized_spectrum_equals_dense_similarity_transform(self):
+        # the n x n construction it replaced, bit for bit
+        w = build_lattice_rook(20, 20)
+        d = 1.0 / np.sqrt(w.cardinalities.astype(np.float64))
+        a = (w.sparse.toarray() > 0).astype(np.float64)
+        expected = scipy.linalg.eigvalsh(a * d[:, None] * d[None, :])
+        assert np.array_equal(w_eigenvalues(w), expected)
+
+    def test_binary_spectrum_from_symmetric_solver(self):
+        w = build_lattice_rook(9, 12, standardized=False)
+        lam = w_eigenvalues(w)
+        assert np.array_equal(lam, scipy.linalg.eigvalsh(w.sparse.toarray()))
+        general = np.sort(scipy.linalg.eigvals(w.sparse.toarray()).real)
+        assert lam == pytest.approx(general, rel=0, abs=1e-12)
+        assert (lam[0], lam[-1]) == pytest.approx(rook_extremes(9, 12), rel=0, abs=1e-12)
+
+    def test_asymmetric_weights_take_the_general_solver(self):
+        base = build_lattice_rook(8, 8, standardized=False)
+        w, scale = scaled_rows(base, seed=3)
+        root = np.sqrt(scale)
+        similar = scipy.linalg.eigvalsh(root[:, None] * base.sparse.toarray() * root[None, :])
+        assert w_eigenvalues(w) == pytest.approx(similar, rel=0, abs=1e-10)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs procfs")
+    def test_holds_one_n_by_n_array(self):
+        # n = 1600: one float64 n x n array is 20.5 MB; the dense construction
+        # it replaced held three at once (about +60 MB). The child reads its
+        # peak from VmHWM: on Linux ru_maxrss keeps the parent's peak across exec.
+        src = str(Path(smaup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        code = (
+            "import json\n"
+            "from smaup import build_lattice_rook\n"
+            "from smaup.sar import w_eigenvalues\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(ln.split()[1]) for ln in f if ln.startswith('VmHWM'))\n"
+            "w = build_lattice_rook(40, 40)\n"
+            "w.sparse, w.cardinalities\n"
+            "before = peak_kb()\n"
+            "w_eigenvalues(w)\n"
+            "print(json.dumps({'grew_mb': (peak_kb() - before) / 1024}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        one_array_mb = 8 * 1600**2 / 2**20
+        assert json.loads(proc.stdout)["grew_mb"] < 1.5 * one_array_mb
+
+
 def shuffled_rook(side, standardized):
     """A side x side rook lattice with its areas in a seeded random order.
 
@@ -182,17 +247,9 @@ def rook_extremes(rows, cols):
     return -top, top
 
 
-def spectrum_path(monkeypatch, w):
-    """Force the eigenvalue path; fill a binary W's cache from the symmetric solver.
-
-    The library takes a binary W's spectrum from the general eigensolver,
-    which is slow at n = 2025; for a symmetric W both give the same values.
-    """
+def spectrum_path(monkeypatch):
+    """Force the eigenvalue path."""
     monkeypatch.setattr(sar, "_SPARSE_MIN_N", 10**9)
-    if not w.standardized and "_sar_eigenvalues" not in w.__dict__:
-        lam = scipy.linalg.eigvalsh(w.sparse.toarray())
-        lam.flags.writeable = False
-        w.__dict__["_sar_eigenvalues"] = lam
 
 
 def sparse_path(monkeypatch):
@@ -214,7 +271,7 @@ class TestSparsePath:
         w = shuffled_grids[side]
         rho = 0.5 if w.standardized else 0.15
         y = generate_sar(w, SarSpec(rho=rho, seed=side))
-        spectrum_path(monkeypatch, w)
+        spectrum_path(monkeypatch)
         by_spectrum = estimate_rho(w, y)
         sparse_path(monkeypatch)
         by_lu = estimate_rho(w, y)
@@ -225,7 +282,7 @@ class TestSparsePath:
     def test_log_det_matches_spectrum(self, monkeypatch, shuffled_grids, side):
         w = shuffled_grids[side]
         rhos = [-0.9, -0.5, 0.0, 0.3, 0.7, 0.95] if w.standardized else [-0.24, -0.1, 0.1, 0.24]
-        spectrum_path(monkeypatch, w)
+        spectrum_path(monkeypatch)
         by_spectrum = _log_det_function(w)
         sparse_path(monkeypatch)
         by_lu = _log_det_function(w)
@@ -263,14 +320,8 @@ class TestSparsePath:
         assert np.allclose(y.values - spec.rho * (w.sparse @ y.values), eps, atol=1e-9)
 
     def test_asymmetric_weights_interval_from_arnoldi(self, monkeypatch):
-        # W = D A with symmetric binary A is similar to D^1/2 A D^1/2: real spectrum
         base = build_lattice_rook(15, 15, standardized=False)
-        scale = np.random.default_rng(7).uniform(0.5, 1.5, base.n)
-        w = SpatialWeights(
-            n=base.n, neighbors=base.neighbors, standardized=False,
-            weights=tuple(tuple(float(scale[i]) for _ in row)
-                          for i, row in enumerate(base.neighbors)),
-        )
+        w, scale = scaled_rows(base, seed=7)
         root = np.sqrt(scale)
         lam = scipy.linalg.eigvalsh(root[:, None] * base.sparse.toarray() * root[None, :])
         sparse_path(monkeypatch)
@@ -292,7 +343,7 @@ class TestSparsePath:
         w = shuffled_rook(20, standardized)
         rho = 0.5 if standardized else 0.15
         y = generate_sar(w, SarSpec(rho=rho, seed=3))
-        spectrum_path(monkeypatch, w)
+        spectrum_path(monkeypatch)
         by_spectrum = estimate_rho(w, y)
         sparse_path(monkeypatch)
         factorisations = []

@@ -26,6 +26,7 @@ from smaup import (
     rcv,
     welch_t_test,
 )
+from smaup.stats import _levene, _levene_terms, _sample, _welch, _welch_terms
 
 
 def two_pass_moments_oracle(x):
@@ -315,6 +316,52 @@ class TestClosedFormAgainstScipy:
             warnings.simplefilter("ignore")
             ref = scipy.stats.ttest_ind(a, b, equal_var=False)
         assert_matches_scipy(out, ref)
+
+
+def outcome_or_error(test, *args):
+    """A test's (statistic, p, decisions), or the type and message it raised, as text."""
+    try:
+        out = test(*args)
+    except (DegenerateSampleError, InsufficientDataError) as exc:
+        return repr((type(exc).__name__, str(exc)))
+    return repr((out.statistic, out.p_value, out.rejected_at))
+
+
+class TestPerSampleTerms:
+    """The Monte Carlo kernel takes one field's terms once and combines them
+    with every aggregation's; that gives what the public tests give."""
+
+    DEGENERATE = [
+        np.full(5, 2.0),                 # zero variance, constant scores
+        np.array([1.0, 3.0]),            # constant scores, nonzero variance
+        np.array([0.0, 4.0]),            # constant scores of another size
+        np.array([1.0, np.nan, 2.0]),    # not finite
+        np.array([7.0]),                 # too short
+    ]
+
+    @staticmethod
+    def assert_reuse_matches_public(field, others):
+        welch_field = _welch_terms(_sample(field))
+        levene_field = _levene_terms(_sample(field))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for b in others:
+                assert outcome_or_error(
+                    lambda b: _welch(*welch_field, *_welch_terms(_sample(b))), b
+                ) == outcome_or_error(welch_t_test, field, b)
+                assert outcome_or_error(
+                    lambda b: _levene(*levene_field, *_levene_terms(_sample(b))), b
+                ) == outcome_or_error(levene_test, field, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples("normal"), st.lists(sample_pairs(), min_size=1, max_size=4))
+    def test_field_terms_reused_across_aggregations(self, field, pairs):
+        others = [x for pair in pairs for x in pair]
+        self.assert_reuse_matches_public(field, others + self.DEGENERATE)
+
+    @pytest.mark.parametrize("field", DEGENERATE[:3])
+    def test_degenerate_field(self, field):
+        self.assert_reuse_matches_public(field, self.DEGENERATE)
 
 
 def test_import_leaves_scipy_stats_unloaded():
