@@ -120,14 +120,8 @@ def m_statistic(rho, theta, params: SmaupParams = DEFAULT_PARAMS):
     Accepts scalars or broadcastable arrays.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    num = 1.0 / (1.0 + np.exp(params.logistic_intercept + params.logistic_slope * theta))
-    den = 1.0 + (
-        params.power_scale
-        * np.power(theta, params.power_exponent)
-        * np.exp((params.tau_intercept + params.tau_slope * theta) * rho)
-    )
-    out = num / den
+    den = 1.0 + eta_of_theta(theta, params) * np.exp(tau_of_theta(theta, params) * rho)
+    out = l_of_theta(theta, params) / den
     return float(out) if out.ndim == 0 else out
 
 

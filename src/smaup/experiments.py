@@ -24,9 +24,11 @@ The filter stops at the first aggregation that decides it. On a failure only
 which prevents livelock on pathological fields. The effects harness feeds the
 same kernel's means to the Welch and Levene tests for every (rho, k) cell.
 
-Every random draw is derived from the master seed and the (cell, instance,
-attempt, repeat) path, so results are bitwise-identical regardless of worker
-count or scheduling order.
+Every harness runs its instances through one fan-out, :func:`_fan_out`: one
+task per (cell, instance), run serially or on a process pool, results handed
+back per cell in instance order. Every random draw is derived from the master
+seed and the (cell, instance, attempt, repeat) path, so results are
+bitwise-identical regardless of worker count or scheduling order.
 """
 
 from __future__ import annotations
@@ -264,21 +266,16 @@ def generate_null(
     ``w_or_n`` is either a SpatialWeights object or an integer area count
     (a perfect square, turned into a rook lattice).
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     w = w_or_n if isinstance(w_or_n, SpatialWeights) else lattice_for_area_count(int(w_or_n))
     w_eigenvalues(w)  # cached once, before fan-out: every replicate estimates rho on w
-    tasks = [
-        (w, rho, master_seed, (0, j), "never_reject", r) for j in range(replicates)
-    ]
-    results = _run_tasks(_instance_task, tasks, workers)
-    values = np.array(
-        [m_statistic(res["rho_hat"], res["k"] / w.n, params) for res in results]
-    )
+    cell = (w, rho, master_seed, "never_reject", r, 0)
+    (results,) = _fan_out(_instance_task, [cell], replicates, workers)
     return NullDistribution(
         n=w.n,
         rho=rho,
-        values=np.sort(values),
+        values=np.array([m_statistic(res["rho_hat"], res["k"] / w.n, params) for res in results]),
         replicates=replicates,
         r_aggregations=r,
         master_seed=master_seed,
@@ -339,23 +336,20 @@ def _rejection_experiment(
     params: SmaupParams,
     table: CriticalValueTable,
 ) -> PowerSizeReport:
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     mode = "always_reject" if kind == "power" else "never_reject"
     n_values = [int(n) for n in n_values]
     rho_values = [float(rho) for rho in rho_values]
     lattices = {n: lattice_for_area_count(n) for n in n_values}
     for w in lattices.values():
         w_eigenvalues(w)  # cached once: every instance estimates rho on its lattice
-    cells = list(enumerate((n, rho) for n in n_values for rho in rho_values))
-    tasks = [
-        (lattices[n], rho, master_seed, (ci + 1, j), mode, r)
-        for ci, (n, rho) in cells
-        for j in range(instances)
-    ]
-    results = _run_tasks(_instance_task, tasks, workers)
+    pairs = [(n, rho) for n in n_values for rho in rho_values]
+    cells = [(lattices[n], rho, master_seed, mode, r, ci + 1) for ci, (n, rho) in enumerate(pairs)]
     report_cells = []
-    for ci, (n, rho) in cells:
+    for (n, rho), results in zip(pairs, _fan_out(_instance_task, cells, instances, workers)):
         rejections = 0
-        for res in results[ci * instances:(ci + 1) * instances]:
+        for res in results:
             rho_used = res["rho_hat"] if reestimate_rho else rho
             rejections += m_statistic(rho_used, res["k"] / n, params) > table.lookup(n, rho_used, alpha)
         report_cells.append({"n": n, "rho": rho, "proportion": rejections / instances})
@@ -443,8 +437,6 @@ class EffectsConfig:
                     raise InvalidKError(
                         f"cell (N={n}, k={k}): k must be >= 2 (two-sample tests need 2 regions)"
                     )
-        if self.instances < 1:
-            raise ValueError("instances must be >= 1")
         if self.r < 1:
             raise ValueError("r must be >= 1")
 
@@ -540,30 +532,23 @@ class EffectsSummary:
 
 
 def _effects_instance_task(args) -> dict:
-    """Run one instance of the effects recipe across all rho and k cells."""
-    (w, n_index, n, ks, rho_values, instance, master_seed, r,
-     rho_isolation, base_rho, window, max_retries) = args
-    out: dict[tuple[float, int], dict] = {}
+    """One instance of the effects recipe on one lattice, across its rho and k
+    cells: ``{(rho, k): (rcm_bar, rcv_bar, t_rejections, levene_rejections)}``."""
+    config, n_index, w, ks, instance = args
+    master_seed = config.master_seed
+    out: dict[tuple[float, int], tuple] = {}
     base_seed = derive_seed(master_seed, n_index, instance, _ROLE_BASE_FIELD)
-    base = generate_sar(w, SarSpec(rho=base_rho, seed=base_seed)) if rho_isolation else None
-    for rho_index, rho in enumerate(rho_values):
-        if rho_isolation:
-            if rho == base_rho:
-                y = base
-            else:
-                y = generate_with_target_rho(
-                    w,
-                    base,
-                    target=rho,
-                    window=window,
-                    max_retries=max_retries,
-                    seed=derive_seed(master_seed, n_index, instance, _ROLE_TARGET_RHO, rho_index),
-                )
+    base = generate_sar(w, SarSpec(rho=config.base_rho, seed=base_seed)) if config.rho_isolation else None
+    for rho_index, rho in enumerate(config.rho_values):
+        if not config.rho_isolation:
+            seed = derive_seed(master_seed, n_index, instance, _ROLE_SAR, rho_index)
+            y = generate_sar(w, SarSpec(rho=rho, seed=seed))
+        elif rho == config.base_rho:
+            y = base
         else:
-            y = generate_sar(
-                w,
-                SarSpec(rho=rho, seed=derive_seed(master_seed, n_index, instance, _ROLE_SAR, rho_index)),
-            )
+            seed = derive_seed(master_seed, n_index, instance, _ROLE_TARGET_RHO, rho_index)
+            y = generate_with_target_rho(w, base, target=rho, window=config.target_window,
+                                         max_retries=config.target_max_retries, seed=seed)
         mu_o = float(y.values.mean())
         var_o = float(y.values.var(ddof=1))
         y_welch, y_levene = _welch_terms(y.values), _levene_terms(y.values)
@@ -571,20 +556,14 @@ def _effects_instance_task(args) -> dict:
             rcms, rcvs = [], []
             t_rej = lev_rej = 0
             seed_path = (master_seed, n_index, instance, _ROLE_REGIONS, rho_index, k_index)
-            for means in _region_means(y, w, k, seed_path, r):
+            for means in _region_means(y, w, k, seed_path, config.r):
                 # zero-mean SAR fields make the signed-divisor relative change
                 # explode; divide by |mean| and flag it in run metadata
                 rcms.append(abs(mu_o - float(means.mean())) / abs(mu_o))
                 rcvs.append(abs(var_o - float(means.var(ddof=1))) / var_o)
                 t_rej += _welch(*y_welch, *_welch_terms(means)).rejects(_FILTER_ALPHA)
                 lev_rej += _levene(*y_levene, *_levene_terms(means)).rejects(_FILTER_ALPHA)
-            out[(rho, k)] = {
-                "rcm_bar": mean_over_repeats(rcms),
-                "rcv_bar": mean_over_repeats(rcvs),
-                "t_rejections": t_rej,
-                "levene_rejections": lev_rej,
-                "tests": r,
-            }
+            out[(rho, k)] = (mean_over_repeats(rcms), mean_over_repeats(rcvs), t_rej, lev_rej)
     return out
 
 
@@ -597,41 +576,26 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
     tests against the original variable. Deterministic under the config's
     master seed, independent of worker count.
     """
-    n_values = sorted(config.k_lists)
-    tasks = []
-    for n_index, n in enumerate(n_values):
+    lattices = []
+    for n_index, n in enumerate(sorted(config.k_lists)):
         w = lattice_for_area_count(n)
         if config.rho_isolation:
             w_eigenvalues(w)  # cached once: rank-matching estimates rho on w again and again
-        ks = tuple(config.k_lists[n])
-        infeasible = [k for k in ks if k > n]
+        infeasible = [k for k in config.k_lists[n] if k > n]
         if infeasible:
             warnings.warn(f"skipping infeasible k values {infeasible} at N={n}", stacklevel=2)
-            ks = tuple(k for k in ks if k <= n)
-        for instance in range(config.instances):
-            tasks.append((
-                w, n_index, n, ks, tuple(config.rho_values), instance,
-                config.master_seed, config.r, config.rho_isolation,
-                config.base_rho, config.target_window, config.target_max_retries,
-            ))
-    per_instance = _run_tasks(_effects_instance_task, tasks, workers)
-
+        lattices.append((config, n_index, w, tuple(k for k in config.k_lists[n] if k <= n)))
+    per_lattice = _fan_out(_effects_instance_task, lattices, config.instances, workers)
+    tests = config.instances * config.r
     cells = []
-    for n_index, n in enumerate(n_values):
-        ks = tuple(k for k in config.k_lists[n] if k <= n)
-        instance_results = per_instance[n_index * config.instances:(n_index + 1) * config.instances]
+    for (_, _, w, ks), results in zip(lattices, per_lattice):
         for rho in config.rho_values:
             for k in ks:
-                rows = [res[(rho, k)] for res in instance_results]
-                total_tests = sum(row["tests"] for row in rows)
+                rcm_bars, rcv_bars, t_rej, lev_rej = zip(*(res[(rho, k)] for res in results))
                 cells.append(EffectsCell(
-                    n=n,
-                    rho=rho,
-                    k=k,
-                    rcm_bars=tuple(row["rcm_bar"] for row in rows),
-                    rcv_bars=tuple(row["rcv_bar"] for row in rows),
-                    t_rejection_proportion=sum(row["t_rejections"] for row in rows) / total_tests,
-                    levene_rejection_proportion=sum(row["levene_rejections"] for row in rows) / total_tests,
+                    w.n, rho, k, rcm_bars, rcv_bars,
+                    t_rejection_proportion=sum(t_rej) / tests,
+                    levene_rejection_proportion=sum(lev_rej) / tests,
                 ))
     return EffectsSummary(
         cells=tuple(cells),
@@ -656,13 +620,23 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
 
 
 def _instance_task(args) -> dict:
-    return _accepted_instance(*args)
+    """Accepted instance j of null/power/size cell ``cell`` (the null is cell 0)."""
+    w, rho, master_seed, mode, r, cell, j = args
+    return _accepted_instance(w, rho, master_seed, (cell, j), mode, r)
 
 
-def _run_tasks(fn, tasks: list, workers: int) -> list:
-    """Run tasks serially or on a process pool; result order == task order."""
+def _fan_out(task, cells: list[tuple], instances: int, workers: int) -> list[list]:
+    """Run ``task((*cell, j))`` for every cell and every instance j < ``instances``.
+
+    Tasks run serially, or on a pool of ``workers`` processes; either way the
+    result is one list per cell, in instance order.
+    """
+    if instances < 1:
+        raise ValueError(f"need at least 1 instance or replicate per cell, got {instances}")
+    tasks = [(*cell, j) for cell in cells for j in range(instances)]
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        results = [task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+    return [results[i:i + instances] for i in range(0, len(results), instances)]

@@ -11,10 +11,11 @@ Monte Carlo kernel ``experiments._region_means``; both keep its draw contract.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ContiguityError,
@@ -227,22 +228,20 @@ def validate_regionalization(r: Regionalization, w: SpatialWeights) -> None:
     """Raise CorruptPartitionError unless every region is internally connected."""
     if r.n != w.n:
         raise ShapeMismatchError(f"partition covers {r.n} areas but weights has n={w.n}")
-    for region in range(r.k):
+    # with the edges between regions masked out, every component lies inside
+    # one region, so the partition is contiguous iff there are exactly k
+    edges = w.sparse.tocoo()
+    inside = r.assignment[edges.row] == r.assignment[edges.col]
+    masked = sp.coo_matrix((edges.data[inside], (edges.row[inside], edges.col[inside])), edges.shape)
+    count, component = connected_components(masked)
+    if count != r.k:
+        first_areas = np.unique(component, return_index=True)[1]
+        region = int(np.flatnonzero(np.bincount(r.assignment[first_areas], minlength=r.k) > 1)[0])
         members = np.flatnonzero(r.assignment == region)
-        member_set = set(int(m) for m in members)
-        start = int(members[0])
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in w.neighbors[i]:
-                if j in member_set and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        if len(seen) != members.size:
-            raise CorruptPartitionError(
-                f"region {region} is not contiguous ({len(seen)} of {members.size} reachable)"
-            )
+        reached = np.count_nonzero(component == component[members[0]])
+        raise CorruptPartitionError(
+            f"region {region} is not contiguous ({reached} of {members.size} reachable)"
+        )
 
 
 def aggregate_mean(y: AreaVariable, r: Regionalization) -> AggregatedVariable:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AdjacencyParseError,
@@ -181,7 +181,7 @@ class SpatialWeights:
 
 
 def _standardize_rows(
-    neighbors: list[list[int]], standardized: bool
+    neighbors: list[list[int]] | list[set[int]], standardized: bool
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[float, ...], ...]]:
     """Sort neighbor rows ascending and attach row-standardized (or binary) weights."""
     nb = tuple(tuple(sorted(row)) for row in neighbors)
@@ -289,7 +289,7 @@ def from_adjacency_text(content: str, standardized: bool = True) -> SpatialWeigh
                     f"area {area}: neighbor id {j} outside 0..{n - 1}"
                 )
 
-    sets = {i: set(entries[i]) for i in range(n)}
+    sets = [set(entries[i]) for i in range(n)]
     repaired = 0
     for i in range(n):
         for j in list(sets[i]):
@@ -301,8 +301,7 @@ def from_adjacency_text(content: str, standardized: bool = True) -> SpatialWeigh
             f"adjacency list was asymmetric; added {repaired} reciprocal edge(s)",
             stacklevel=2,
         )
-    neighbors = [sorted(sets[i]) for i in range(n)]
-    nb, wt = _standardize_rows(neighbors, standardized)
+    nb, wt = _standardize_rows(sets, standardized)
     return SpatialWeights(n=n, neighbors=nb, weights=wt, standardized=standardized)
 
 
@@ -394,8 +393,7 @@ def from_geojson(content: str, standardized: bool = True) -> SpatialWeights:
             for b in owners:
                 if a != b:
                     sets[a].add(b)
-    neighbors = [sorted(s) for s in sets]
-    nb, wt = _standardize_rows(neighbors, standardized)
+    nb, wt = _standardize_rows(sets, standardized)
     return SpatialWeights(n=n, neighbors=nb, weights=wt, standardized=standardized)
 
 
@@ -405,18 +403,6 @@ def is_connected(w: SpatialWeights) -> bool:
     The answer is cached on the weights object, so the graph is walked once.
     """
     cached = w.__dict__.get("_connected")
-    if cached is not None:
-        return cached
-    seen = np.zeros(w.n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        i = queue.popleft()
-        for j in w.neighbors[i]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                queue.append(j)
-    w.__dict__["_connected"] = count == w.n
-    return count == w.n
+    if cached is None:
+        cached = w.__dict__["_connected"] = connected_components(w.sparse, return_labels=False) == 1
+    return cached

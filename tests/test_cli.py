@@ -325,6 +325,20 @@ class TestExperimentsCommands:
                               "--seed", "1", "--workers", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["null", "--n", "100", "--rho", "0", "--replicates", "3", "--r", "0"], "r must be >= 1"),
+        (["size", "--n", "100", "--rhos=0", "--instances", "2", "--r", "-1"], "r must be >= 1"),
+        (["power", "--n", "100", "--rhos=0", "--instances", "0"], "at least 1 instance"),
+    ], ids=["null-r-0", "size-r-negative", "power-instances-0"])
+    def test_empty_run_is_usage_error(self, tmp_path, capsys, args, message):
+        # zero aggregations would accept every instance unfiltered, zero
+        # instances would divide by zero: both are input faults
+        out = tmp_path / "out.json"
+        code, _, err = run(args + ["--seed", "1", "--workers", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_bad_workers_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SMAUP_WORKERS", "abc")
         with pytest.raises(SystemExit) as excinfo:

@@ -191,6 +191,34 @@ class TestAcceptanceRecipe:
                                mode="never_reject", r=2)
 
 
+class TestFanOut:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_list_per_cell_in_instance_order(self, workers):
+        # ``tuple`` echoes each (*cell, j) task back
+        got = experiments._fan_out(tuple, [("a", 0), ("b", 1), ("c", 2)], 4, workers)
+        assert got == [[(name, ci, j) for j in range(4)] for name, ci in [("a", 0), ("b", 1), ("c", 2)]]
+
+    @pytest.mark.parametrize("run", [
+        lambda: generate_null(100, 0.0, replicates=0),
+        lambda: power_experiment([100], [0.0], instances=0),
+        lambda: size_experiment([100], [0.0], instances=-1),
+        lambda: effects_experiment(EffectsConfig(k_lists={100: (12,)}, instances=0)),
+    ], ids=["null", "power", "size", "effects"])
+    def test_every_harness_needs_an_instance(self, run):
+        with pytest.raises(ValueError, match="at least 1 instance"):
+            run()
+
+    @pytest.mark.parametrize("run", [
+        lambda: generate_null(100, 0.0, replicates=3, r=0),
+        lambda: power_experiment([100], [0.0], instances=2, r=0),
+        lambda: size_experiment([100], [0.0], instances=2, r=-1),
+    ], ids=["null", "power", "size"])
+    def test_filters_need_an_aggregation(self, run):
+        # with r < 1 no Levene test would run and every instance would pass
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            run()
+
+
 class TestPowerAndSize:
     def test_power_high_at_small_n_zero_rho(self):
         report = power_experiment([100], [0.0], instances=20, master_seed=10)

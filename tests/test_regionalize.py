@@ -230,11 +230,16 @@ class TestRandomConnectedGraphs:
         assert np.array_equal(r.assignment, reference_random_regions(w, k, seed))
 
 
-def assert_regions_connected_by_networkx(w, labels, k):
-    """Independent oracle: networkx sees every label's areas as one component."""
+def networkx_graph(w):
     graph = nx.Graph()
     graph.add_nodes_from(range(w.n))
     graph.add_edges_from((i, j) for i, row in enumerate(w.neighbors) for j in row)
+    return graph
+
+
+def assert_regions_connected_by_networkx(w, labels, k):
+    """Independent oracle: networkx sees every label's areas as one component."""
+    graph = networkx_graph(w)
     members = {}
     for area, label in enumerate(labels):
         members.setdefault(label, []).append(area)
@@ -336,6 +341,32 @@ class TestPartitionType:
         r = Regionalization(assignment=np.array([0, 1, 1, 1, 0]), k=2)
         with pytest.raises(CorruptPartitionError, match="not contiguous"):
             validate_regionalization(r, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1))
+    def test_validate_agrees_with_networkx(self, data, w, seed):
+        # grown partitions, grown ones with one area relabelled, and labels
+        # drawn independently: contiguous and split regions both occur
+        k = data.draw(st.integers(1, w.n))
+        labels = random_regions(w, k, seed=seed).assignment.copy()
+        mode = data.draw(st.sampled_from(["grown", "relabelled", "random"]))
+        if mode == "relabelled":
+            labels[data.draw(st.integers(0, w.n - 1))] = data.draw(st.integers(0, k - 1))
+        elif mode == "random":
+            labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=w.n, max_size=w.n)))
+            labels[data.draw(st.permutations(range(w.n)))[:k]] = np.arange(k)
+        if np.unique(labels).size < k:
+            return  # relabelling emptied a region; not a partition into k
+        r = Regionalization(assignment=labels, k=k)
+        graph = networkx_graph(w)
+        split = [g for g in range(k)
+                 if not nx.is_connected(graph.subgraph(np.flatnonzero(labels == g).tolist()))]
+        if not split:
+            validate_regionalization(r, w)
+            return
+        with pytest.raises(CorruptPartitionError, match="is not contiguous") as excinfo:
+            validate_regionalization(r, w)
+        assert str(excinfo.value).startswith(f"region {split[0]} is not contiguous")
 
     def test_csv_round_trip(self):
         r = Regionalization(assignment=np.array([1, 0, 1, 2, 2]), k=3)
