@@ -575,16 +575,30 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
     variance, and the pooled rejection proportions of the Welch-t and Levene
     tests against the original variable. Deterministic under the config's
     master seed, independent of worker count.
+
+    Cells with k > N are skipped with a warning, and a lattice left without
+    cells is not simulated; the others keep their place in the sorted N list,
+    so their seed paths do not depend on which cells were skipped.
+
+    Raises
+    ------
+    InvalidKError
+        If no (N, k) cell is feasible.
     """
     lattices = []
     for n_index, n in enumerate(sorted(config.k_lists)):
         w = lattice_for_area_count(n)
-        if config.rho_isolation:
-            w_eigenvalues(w)  # cached once: rank-matching estimates rho on w again and again
         infeasible = [k for k in config.k_lists[n] if k > n]
         if infeasible:
             warnings.warn(f"skipping infeasible k values {infeasible} at N={n}", stacklevel=2)
-        lattices.append((config, n_index, w, tuple(k for k in config.k_lists[n] if k <= n)))
+        ks = tuple(k for k in config.k_lists[n] if k <= n)
+        if not ks:
+            continue
+        if config.rho_isolation:
+            w_eigenvalues(w)  # cached once: rank-matching estimates rho on w again and again
+        lattices.append((config, n_index, w, ks))
+    if not lattices:
+        raise InvalidKError("no feasible (N, k) cell: every k exceeds its N")
     per_lattice = _fan_out(_effects_instance_task, lattices, config.instances, workers)
     tests = config.instances * config.r
     cells = []

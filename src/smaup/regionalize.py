@@ -14,8 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ContiguityError,
@@ -226,6 +224,9 @@ def _check_growable(w: SpatialWeights, k: int) -> None:
 
 def validate_regionalization(r: Regionalization, w: SpatialWeights) -> None:
     """Raise CorruptPartitionError unless every region is internally connected."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     if r.n != w.n:
         raise ShapeMismatchError(f"partition covers {r.n} areas but weights has n={w.n}")
     # with the edges between regions masked out, every component lies inside

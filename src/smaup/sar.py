@@ -16,9 +16,16 @@ estimates. Otherwise one size rule, ``_SPARSE_MIN_N``, decides. Below it
 use. At and above it, where a single estimate costs less by sparse LU than
 one cold eigendecomposition, each evaluation factorises (I - rho W) by
 sparse LU (Barry & Pace 1999; LeSage & Pace 2009, ch. 4) and sums
-log|diag U|, and no n x n array is built. The same rule picks a dense or a
-sparse-LU SAR solve. A non-standardized W on the sparse side gets its
-stability interval from two Lanczos runs for its extreme eigenvalues.
+log|diag U|, and no n x n array is built. One rho search computes a single
+COLAMD column ordering (Davis et al. 2004) and reuses it for every later
+factorisation, since the sparsity pattern does not change with rho. The same
+rule picks a dense or a sparse-LU SAR solve. A non-standardized W on the
+sparse side gets its stability interval from two Lanczos runs for its
+extreme eigenvalues.
+
+scipy is imported inside the functions that call it, not at module level,
+so ``import smaup`` and the commands that never solve or factorise
+(``smaup weights``) do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -27,9 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import (
     DegenerateInputError,
@@ -147,11 +151,13 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
         return AreaVariable(values=eps, weights=w)
     try:
         if w.n < _SPARSE_MIN_N:
+            import scipy.linalg
+
             a = np.eye(w.n) - spec.rho * w.dense
             y = scipy.linalg.solve(a, eps)
         else:
             y = _sparse_lu(w.sparse.tocsc(), spec.rho).solve(eps)
-    except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise NumericalError(f"(I - rho W) is singular at rho={spec.rho}") from exc
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"(I - rho W) solve produced non-finite values at rho={spec.rho}")
@@ -182,6 +188,9 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     cached = w.__dict__.get("_sar_eigenvalues")
     if cached is not None:
         return cached
+    import scipy.linalg
+    import scipy.sparse as sp
+
     a = w.sparse
     if w.standardized:
         deg = w.cardinalities.astype(np.float64)
@@ -214,11 +223,13 @@ def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
     cached = w.__dict__.get("_sar_eigenvalue_range")
     if cached is not None:
         return cached
+    import scipy.sparse.linalg as spla
+
     a = w.sparse
     if (a != a.T).nnz:
-        solver, ends = sp.linalg.eigs, ("SR", "LR")
+        solver, ends = spla.eigs, ("SR", "LR")
     else:
-        solver, ends = sp.linalg.eigsh, ("SA", "LA")
+        solver, ends = spla.eigsh, ("SA", "LA")
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
     lo, hi = (
         float(solver(a, k=1, which=which, v0=v0, return_eigenvectors=False)[0].real)
@@ -233,9 +244,12 @@ def _stable(rho: float, lo: float, hi: float) -> bool:
     return not ((lo < 0.0 and rho <= 1.0 / lo) or (hi > 0.0 and rho >= 1.0 / hi))
 
 
-def _sparse_lu(w_csc: sp.csc_matrix, rho: float):
+def _sparse_lu(w_csc, rho: float):
     """SuperLU factorisation of (I - rho W), default COLAMD column ordering."""
-    return sp.linalg.splu(sp.identity(w_csc.shape[0], format="csc") - rho * w_csc)
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+
+    return scipy.sparse.linalg.splu(sp.identity(w_csc.shape[0], format="csc") - rho * w_csc)
 
 
 def _log_det_function(w: SpatialWeights):
@@ -247,6 +261,11 @@ def _log_det_function(w: SpatialWeights):
     is not finite. Otherwise it sums log|diag U| of a sparse LU
     factorisation; |det| stays finite outside the stability interval, so a
     non-standardized W is bounded explicitly.
+
+    Every rho != 0 gives (I - rho W) the same sparsity pattern, so the
+    COLAMD column ordering is computed once, by the first such evaluation.
+    Later evaluations factor the column-permuted matrix in natural order,
+    which yields the same U bit for bit without reordering.
     """
     if _has_spectrum(w):
         lam = w_eigenvalues(w)
@@ -257,16 +276,25 @@ def _log_det_function(w: SpatialWeights):
 
         return log_det
 
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+
     w_csc = w.sparse.tocsc()
+    eye = sp.identity(w.n, format="csc")
+    permc_spec = "COLAMD"
     bounds = None if w.standardized else _eigenvalue_range(w)
 
     def log_det(rho: float) -> float:
+        nonlocal eye, w_csc, permc_spec
         if bounds is not None and not _stable(rho, *bounds):
             return -math.inf
         try:
-            lu = _sparse_lu(w_csc, rho)
+            lu = scipy.sparse.linalg.splu(eye - rho * w_csc, permc_spec=permc_spec)
         except RuntimeError:  # exactly singular
             return -math.inf
+        if permc_spec == "COLAMD" and rho != 0.0:  # at rho = 0 only the diagonal is stored
+            inv = np.argsort(lu.perm_c)
+            eye, w_csc, permc_spec = eye[:, inv], w_csc[:, inv], "NATURAL"
         return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
 
     return log_det

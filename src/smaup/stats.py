@@ -10,8 +10,9 @@ with p-values from the ``scipy.special`` distribution functions, because the
 Monte Carlo harnesses call them millions of times and the ``scipy.stats``
 wrappers spend most of each call on argument handling. ``scipy.stats.levene``
 and ``scipy.stats.ttest_ind(equal_var=False)`` remain the oracles the tests
-compare against; this module does not import ``scipy.stats``, which keeps it
-off the ``import smaup`` path.
+compare against. This module never imports ``scipy.stats``, and it loads
+``scipy.special`` only when a test first runs, which keeps scipy off the
+``import smaup`` path.
 
 Conventions: variances are sample variances (divisor n-1) everywhere. The
 relative-change-in-mean ratio divides by the signed original mean exactly as
@@ -27,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc, stdtr
 
 from .errors import (
     DegenerateSampleError,
@@ -140,6 +140,8 @@ def _welch_terms(x: np.ndarray) -> tuple[int, float, float]:
 
 
 def _welch(na, mean_a, ss_a, nb, mean_b, ss_b) -> TestOutcome:
+    import scipy.special
+
     if ss_a == 0.0 and ss_b == 0.0:
         raise DegenerateSampleError("both samples have zero variance")
     # squared standard errors of the two means, and their shares of the total
@@ -149,7 +151,7 @@ def _welch(na, mean_a, ss_a, nb, mean_b, ss_b) -> TestOutcome:
     fa, fb = se2_a / se2, se2_b / se2
     df = 1.0 / (fa * fa / (na - 1) + fb * fb / (nb - 1))
     t = (mean_a - mean_b) / math.sqrt(se2)
-    return _outcome(t, 2.0 * stdtr(df, -abs(t)))
+    return _outcome(t, 2.0 * scipy.special.stdtr(df, -abs(t)))
 
 
 def welch_t_test(a, b) -> TestOutcome:
@@ -170,6 +172,8 @@ def _levene_terms(x: np.ndarray, center: str = "mean") -> tuple[int, float, floa
 
 
 def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestOutcome:
+    import scipy.special
+
     if lo_a == hi_a == lo_b == hi_b:
         raise DegenerateSampleError("all deviation scores are identical in both groups")
     z_bar = (na * za_bar + nb * zb_bar) / (na + nb)
@@ -177,7 +181,7 @@ def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestO
     within = ss_a + ss_b
     dfd = na + nb - 2
     stat = math.inf if within == 0.0 else dfd * between / within
-    return _outcome(stat, fdtrc(1.0, dfd, stat))
+    return _outcome(stat, scipy.special.fdtrc(1.0, dfd, stat))
 
 
 def levene_test(a, b, center: str = "mean") -> TestOutcome:

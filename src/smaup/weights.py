@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AdjacencyParseError,
@@ -110,8 +108,14 @@ class SpatialWeights:
     # -- derived, lazily cached ------------------------------------------
 
     @cached_property
-    def sparse(self) -> sp.csr_matrix:
-        """Weight matrix W as a CSR sparse matrix."""
+    def sparse(self):
+        """Weight matrix W as a ``scipy.sparse`` CSR matrix.
+
+        scipy is loaded here, on first use, so building, serializing and
+        checking weights never imports it.
+        """
+        import scipy.sparse as sp
+
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         for i, row in enumerate(self.neighbors):
             indptr[i + 1] = indptr[i] + len(row)
@@ -400,9 +404,19 @@ def from_geojson(content: str, standardized: bool = True) -> SpatialWeights:
 def is_connected(w: SpatialWeights) -> bool:
     """True iff the contiguity graph has a single connected component.
 
-    The answer is cached on the weights object, so the graph is walked once.
+    An iterative breadth-first walk from area 0 over the neighbor lists the
+    weights already hold; it needs neither the sparse matrix nor scipy. The
+    answer is cached on the weights object, so the graph is walked once.
     """
     cached = w.__dict__.get("_connected")
     if cached is None:
-        cached = w.__dict__["_connected"] = connected_components(w.sparse, return_labels=False) == 1
+        seen = bytearray(w.n)
+        seen[0] = 1
+        queue = [0]
+        for i in queue:  # the walk appends to the list it iterates
+            for j in w.neighbors[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    queue.append(j)
+        cached = w.__dict__["_connected"] = len(queue) == w.n
     return cached

@@ -320,6 +320,27 @@ class TestExperimentsCommands:
         doc = json.loads(path.read_text())
         assert len(doc["cells"]) == 4
 
+    def test_effects_without_feasible_cell_exit_2(self, capsys):
+        with pytest.warns(UserWarning, match="infeasible"):
+            code, out, err = run(["effects", "--cell", "100:200", "--instances", "4",
+                                  "--seed", "1", "--workers", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "no feasible" in err
+
+    def test_effects_partly_infeasible_keeps_cells(self, tmp_path, capsys):
+        args = ["effects", "--cell", "100:12,53,90", "--instances", "2", "--r", "3",
+                "--seed", "1", "--workers", "1", "--out"]
+        code, _, _ = run([*args, str(tmp_path / "digest.json")], capsys)
+        assert code == 0
+        with pytest.warns(UserWarning, match=r"infeasible k values \[500\] at N=400"):
+            code, _, _ = run([*args, str(tmp_path / "extra.json"), "--cell", "400:500"], capsys)
+        assert code == 0
+        cells = [json.loads((tmp_path / f"{name}.json").read_text())["cells"]
+                 for name in ("digest", "extra")]
+        assert cells[0] == cells[1]
+        assert len(cells[0]) == 9
+
     def test_effects_bad_cell_spec_exit_2(self, capsys):
         code, out, err = run(["effects", "--cell", "100", "--instances", "1",
                               "--seed", "1", "--workers", "1"], capsys)

@@ -296,6 +296,28 @@ class TestEffects:
             summary = effects_experiment(config)
         assert {c.k for c in summary.cells} == {90}
 
+    def test_no_feasible_cell_raises(self):
+        config = EffectsConfig(
+            k_lists={25: (30, 40), 100: (200,)}, rho_values=(0.0,),
+            instances=4, r=2, master_seed=1,
+        )
+        with pytest.warns(UserWarning, match="infeasible"), \
+                pytest.raises(InvalidKError, match="no feasible"):
+            effects_experiment(config)
+
+    def test_infeasible_lattice_dropped_without_moving_seed_paths(self):
+        def cells(k_lists):
+            config = EffectsConfig(k_lists=k_lists, rho_values=(0.0, 0.9),
+                                   instances=2, r=3, master_seed=21)
+            return effects_experiment(config).cells
+
+        with pytest.warns(UserWarning, match=r"\[500\] at N=400"):
+            assert cells({100: (12, 53), 400: (500,)}) == cells({100: (12, 53)})
+        # N=100 is second in the sorted list either way, so its seeds do not move
+        with pytest.warns(UserWarning, match=r"\[30\] at N=25"):
+            partly = cells({25: (30,), 100: (12, 53)})
+        assert partly == tuple(c for c in cells({25: (3,), 100: (12, 53)}) if c.n == 100)
+
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidKError):
             EffectsConfig(k_lists={100: (1,)}, rho_values=(0.0,), instances=1)

@@ -1,5 +1,6 @@
 """Tests for SAR generation, rho estimation, and rank-matching permutation."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 import scipy.stats
 
@@ -203,6 +205,8 @@ class TestEigenvalues:
         # n = 1600: one float64 n x n array is 20.5 MB; the dense construction
         # it replaced held three at once (about +60 MB). The child reads its
         # peak from VmHWM: on Linux ru_maxrss keeps the parent's peak across exec.
+        # scipy.linalg, which w_eigenvalues imports on first use, is loaded
+        # before the baseline, as the lazily built matrices are.
         src = str(Path(smaup.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -215,6 +219,7 @@ class TestEigenvalues:
             "        return next(int(ln.split()[1]) for ln in f if ln.startswith('VmHWM'))\n"
             "w = build_lattice_rook(40, 40)\n"
             "w.sparse, w.cardinalities\n"
+            "import scipy.linalg\n"
             "before = peak_kb()\n"
             "w_eigenvalues(w)\n"
             "print(json.dumps({'grew_mb': (peak_kb() - before) / 1024}))\n"
@@ -291,7 +296,8 @@ class TestSparsePath:
 
     def test_factorises_with_default_colamd_ordering(self, monkeypatch):
         # per factorisation on a shuffled 45 x 45 grid (2-core Xeon, one BLAS thread):
-        # MMD_AT_PLUS_A 37 ms, COLAMD 6.8 ms
+        # MMD_AT_PLUS_A 37 ms, COLAMD 6.8 ms; one rho search orders its columns
+        # once and factors the other 33 times in that order
         orderings = []
         splu = scipy.sparse.linalg.splu
 
@@ -302,9 +308,67 @@ class TestSparsePath:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         w = shuffled_rook(32, True)
         y = generate_sar(w, SarSpec(rho=0.5, seed=1))
+        assert orderings == ["COLAMD"]
+        orderings.clear()
         estimate_rho(w, y)
         assert len(orderings) > 30
-        assert set(orderings) == {"COLAMD"}
+        assert orderings == ["COLAMD"] + ["NATURAL"] * (len(orderings) - 1)
+
+    @pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "binary"])
+    @pytest.mark.parametrize("layout", ["shuffled", "row-major"])
+    def test_log_det_bitwise_equals_per_rho_colamd(self, monkeypatch, standardized, layout):
+        # fresh grids, so no spectrum is cached; rho = 0 comes first: its
+        # matrix is the identity, whose ordering must not be the one reused
+        sparse_path(monkeypatch)
+        eye = scipy.sparse.identity
+        for side in (20, 30, 40, 45):
+            if layout == "shuffled":
+                w = shuffled_rook(side, standardized)
+            else:
+                w = build_lattice_rook(side, side, standardized=standardized)
+            top = 0.99 if standardized else 0.24
+            rhos = [0.0, *np.random.default_rng(side).uniform(-top, top, 24), top, -top, 0.0]
+            log_det = _log_det_function(w)
+            w_csc = w.sparse.tocsc()
+            for rho in rhos:
+                lu = scipy.sparse.linalg.splu(eye(w.n, format="csc") - rho * w_csc)
+                assert log_det(rho) == float(np.sum(np.log(np.abs(lu.U.diagonal())))), (side, rho)
+
+    # rho_hat and a sha256 prefix of every (rho, log det) the search
+    # evaluates, as a COLAMD factorisation per rho gives them (shuffled_rook)
+    PINNED_SEARCHES = {
+        (True, 20): ("0x1.be4a4a1051a8ep-2", "b9644f81ed9fd74d"),
+        (True, 30): ("0x1.1be6aaf2a7750p-1", "401922133363ceba"),
+        (True, 40): ("0x1.01711a853c622p-1", "5611ca638969bf7f"),
+        (True, 45): ("0x1.eb147b60b8a61p-2", "97aa54656bd8e5cf"),
+        (False, 20): ("0x1.17c2e92558250p-3", "f8cbd68a79dc5883"),
+        (False, 30): ("0x1.4bf7977d1ce19p-3", "f21a70a50c01b86c"),
+        (False, 40): ("0x1.365d92525d73ep-3", "4d0ed8c60385c0e1"),
+        (False, 45): ("0x1.2c05125a87a08p-3", "3f80d1d5909fc910"),
+    }
+
+    @pytest.mark.parametrize("standardized", [True, False], ids=["standardized", "binary"])
+    @pytest.mark.parametrize("side", [20, 30, 40, 45])
+    def test_estimate_bitwise_pinned(self, monkeypatch, standardized, side):
+        w = shuffled_rook(side, standardized)
+        sparse_path(monkeypatch)
+        y = generate_sar(w, SarSpec(rho=0.5 if standardized else 0.15, seed=side))
+        evaluations = []
+        log_det_function = sar._log_det_function
+
+        def recording(w_):
+            log_det = log_det_function(w_)
+
+            def record(rho):
+                evaluations.append((rho, log_det(rho)))
+                return evaluations[-1][1]
+
+            return record
+
+        monkeypatch.setattr(sar, "_log_det_function", recording)
+        rho_hat = estimate_rho(w, y)
+        trace = hashlib.sha256(repr(evaluations).encode()).hexdigest()[:16]
+        assert (rho_hat.hex(), trace) == self.PINNED_SEARCHES[(standardized, side)]
 
     def test_binary_stability_interval_from_lanczos(self):
         w = build_lattice_rook(51, 51, standardized=False)

@@ -1,5 +1,6 @@
 """Tests for descriptive moments, relative changes, and the two-sample tests."""
 
+import json
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from smaup import (
     rcv,
     welch_t_test,
 )
+from smaup.sar import area_variable_to_csv
 from smaup.stats import _levene, _levene_terms, _sample, _welch, _welch_terms
 
 
@@ -364,13 +366,38 @@ class TestPerSampleTerms:
         self.assert_reuse_matches_public(field, self.DEGENERATE)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("case", ["import-smaup", "import-cli", "weights-command", "test-command"])
+def test_scipy_loads_only_where_called(tmp_path, case):
+    # scipy is imported by the functions that call it: importing the package,
+    # or a command that never solves, estimates or tests, loads none of it,
+    # and `smaup test` (rho estimation, no two-sample test) not scipy.special
+    squares = [[[c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]
+               for r in range(3) for c in range(3)]
+    geojson = tmp_path / "grid.geojson"
+    geojson.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {}, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+        for ring in squares]}))
+    w = smaup.build_lattice_rook(10, 10)
+    weights = tmp_path / "w.json"
+    weights.write_text(w.to_json())
+    values = tmp_path / "y.csv"
+    values.write_text(area_variable_to_csv(smaup.generate_sar(w, smaup.SarSpec(0.5, seed=1))))
+    statements = {
+        "import-smaup": "import smaup",
+        "import-cli": "import smaup.cli",
+        "weights-command": "from smaup.cli import main; "
+                           f"main(['weights', '--geojson', {str(geojson)!r}, '--out', {str(tmp_path / 'out.json')!r}])",
+        "test-command": "from smaup.cli import main; "
+                        f"main(['test', '--values', {str(values)!r}, '--weights', {str(weights)!r}, '--k', '20'])",
+    }
+    unloaded = "scipy.special" if case == "test-command" else "scipy"
+    code = (f"import sys\n{statements[case]}\n"
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({unloaded!r} + '.')))")
     src = str(Path(smaup.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, smaup; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestPseudoP:

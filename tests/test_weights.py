@@ -2,8 +2,11 @@
 
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smaup import (
     AdjacencyParseError,
@@ -229,6 +232,97 @@ class TestConnectivity:
         w = from_adjacency_text("\n".join(lines))
         assert not is_connected(w)
         assert bfs_component_size(w.neighbors) == w.n - 1
+
+
+@st.composite
+def labelled_graphs(draw):
+    """(n, edges) on 1-40 areas: connected, with one isolated area, or in two
+    parts. Each part is a random spanning tree plus extra edges; area labels
+    are then shuffled."""
+    shape = draw(st.sampled_from(["connected", "isolated", "two parts"]))
+    n = draw(st.integers(1 if shape == "connected" else 2, 40))
+    if shape == "connected":
+        sizes = [n]
+    elif shape == "isolated":
+        sizes = [n - 1, 1]
+    else:
+        first = draw(st.integers(1, n - 1))
+        sizes = [first, n - first]
+    edges, start = set(), 0
+    for size in sizes:
+        for i in range(start + 1, start + size):
+            edges.add((draw(st.integers(start, i - 1)), i))
+        pairs = st.tuples(st.integers(start, start + size - 1), st.integers(start, start + size - 1))
+        edges |= {(a, b) for a, b in draw(st.lists(pairs, max_size=2 * size)) if a != b}
+        start += size
+    label = draw(st.permutations(range(n)))
+    return n, {(label[a], label[b]) for a, b in edges}
+
+
+def weights_from_edges(n, edges):
+    rows = [set() for _ in range(n)]
+    for a, b in edges:
+        rows[a].add(b)
+        rows[b].add(a)
+    return SpatialWeights.from_dict({
+        "n": n, "neighbors": [sorted(row) for row in rows],
+        "weights": [[1.0] * len(row) for row in rows], "standardized": False,
+    })
+
+
+class TestConnectivityOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs())
+    def test_agrees_with_networkx(self, graph):
+        n, edges = graph
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(edges)
+        w = weights_from_edges(n, edges)
+        assert is_connected(w) == nx.is_connected(oracle)
+        assert w.__dict__["_connected"] == nx.is_connected(oracle)  # cached
+
+    def test_single_area(self):
+        assert is_connected(weights_from_edges(1, set())) == nx.is_connected(nx.empty_graph(1))
+
+    def test_needs_no_sparse_matrix(self):
+        w = build_lattice_rook(4, 4)
+        assert is_connected(w)
+        assert "sparse" not in w.__dict__
+
+
+@st.composite
+def shuffled_polygon_grids(draw):
+    """A rows x cols grid of unit squares as GeoJSON, features in a drawn
+    order, each ring starting at a drawn corner in a drawn direction."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if rows * cols < 2:
+        cols = 2
+    cells = draw(st.permutations([(r, c) for r in range(rows) for c in range(cols)]))
+    features = []
+    for r, c in cells:
+        ring = square_feature(float(c), float(r))["geometry"]["coordinates"][0][:4]
+        shift = draw(st.integers(0, 3))
+        ring = ring[shift:] + ring[:shift]
+        if draw(st.booleans()):
+            ring.reverse()
+        features.append({"type": "Feature", "properties": {},
+                         "geometry": {"type": "Polygon", "coordinates": [ring + ring[:1]]}})
+    return rows, cols, cells, json.dumps({"type": "FeatureCollection", "features": features})
+
+
+class TestGeoJSONRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_polygon_grids(), st.booleans())
+    def test_matches_relabelled_networkx_grid(self, grid, standardized):
+        rows, cols, cells, doc = grid
+        w = from_geojson(doc, standardized=standardized)
+        index = {cell: i for i, cell in enumerate(cells)}
+        oracle = nx.relabel_nodes(nx.grid_2d_graph(rows, cols), index)
+        assert w.n == oracle.number_of_nodes()
+        assert [set(row) for row in w.neighbors] == [set(oracle[i]) for i in range(w.n)]
+        assert w.standardized == standardized
+        assert SpatialWeights.from_json(w.to_json()) == w
 
 
 class TestInvariantsAndSerialization:
