@@ -5,7 +5,8 @@ Subcommands mirror the library modules: ``weights``, ``simulate``,
 ``size``, ``effects``, and ``export-critical-values``. All randomness flows
 from one ``--seed``; when omitted, a seed is drawn from OS entropy and
 echoed so the run can be reproduced. Every output artifact embeds the
-toolkit version, the master seed, and a hash of the effective configuration.
+toolkit version, the master seed, and a hash of the effective configuration,
+and an output path of ``-`` means stdout.
 
 Exit codes: 0 success, 2 configuration/parse failure, 3 numerical failure,
 4 experiment stall.
@@ -99,31 +100,35 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _metadata(args, seed: int | None = None) -> dict:
-    meta = {"toolkit_version": __version__, "config_hash": _config_hash(args)}
-    if seed is not None:
-        meta["master_seed"] = seed
-    return meta
-
-
-def _metadata_comment(args, seed: int | None = None) -> str:
-    meta = _metadata(args, seed)
-    return "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
-
-
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    if path in (None, "-"):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
-def _load_weights(path: str) -> SpatialWeights:
-    return SpatialWeights.from_json(Path(path).read_text())
+def _emit(path: str | None, args, body: dict | str, seed: int | None = None) -> None:
+    """Write one artifact, stamped with the toolkit version, config hash and
+    seed: a dict as indented JSON with those keys appended, text after a
+    ``# key=value ...`` comment line. No path, or ``-``, means stdout."""
+    meta = {"toolkit_version": __version__, "config_hash": _config_hash(args)}
+    if seed is not None:
+        meta["master_seed"] = seed
+    if isinstance(body, dict):
+        text = json.dumps({**body, **meta}, indent=2) + "\n"
+    else:
+        text = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n" + body
+    _write_text(path, text)
 
 
-def _load_values(path: str, w: SpatialWeights):
-    return area_variable_from_csv(Path(path).read_text(), w)
+def _load_inputs(args):
+    """The ``--weights`` JSON, the ``--values`` CSV on it, and the ``--null``
+    JSON, or None where the command has no ``--null`` or it is not given."""
+    w = SpatialWeights.from_json(Path(args.weights).read_text())
+    y = area_variable_from_csv(Path(args.values).read_text(), w)
+    null_path = getattr(args, "null", None)
+    null = NullDistribution.from_json(Path(null_path).read_text()) if null_path else None
+    return w, y, null
 
 
 def _float_list(text: str) -> list[float]:
@@ -151,15 +156,12 @@ def _cmd_weights(args) -> int:
         w = from_adjacency_text(Path(args.adjacency).read_text(), standardized=standardized)
     else:
         w = from_geojson(Path(args.geojson).read_text(), standardized=standardized)
-    doc = w.to_dict()
-    doc.update(_metadata(args))
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"n={w.n} edges={w.edge_count} connected={is_connected(w)} -> {args.out}")
+    _emit(args.out, args, w.to_dict())
+    summary = f"n={w.n} edges={w.edge_count} connected={is_connected(w)}"
+    if args.out in (None, "-"):
+        print(summary, file=sys.stderr)
     else:
-        sys.stdout.write(text)
-        print(f"n={w.n} edges={w.edge_count} connected={is_connected(w)}", file=sys.stderr)
+        print(f"{summary} -> {args.out}")
     return 0
 
 
@@ -168,7 +170,7 @@ def _weights_from_args(args) -> SpatialWeights:
         rows, cols = args.lattice
         return build_lattice_rook(rows, cols)
     if getattr(args, "weights", None):
-        return _load_weights(args.weights)
+        return SpatialWeights.from_json(Path(args.weights).read_text())
     raise ValueError("pass --weights FILE or --lattice R C")
 
 
@@ -176,41 +178,36 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     w = _weights_from_args(args)
     y = generate_sar(w, SarSpec(rho=args.rho, seed=seed))
-    text = _metadata_comment(args, seed) + area_variable_to_csv(y)
-    _write_text(args.out, text)
+    _emit(args.out, args, area_variable_to_csv(y), seed)
     return 0
 
 
 def _cmd_permute_rho(args) -> int:
     seed = _resolve_seed(args)
-    w = _load_weights(args.weights)
-    y = _load_values(args.values, w)
+    w, y, _ = _load_inputs(args)
     permuted = generate_with_target_rho(
         w, y, target=args.target, window=args.window,
         max_retries=args.max_retries, seed=seed,
     )
-    meta = permuted.meta or {}
-    text = _metadata_comment(args, seed)
-    text += f"# attempts={meta.get('attempts')} rho_estimate={meta.get('rho_estimate')}\n"
-    text += area_variable_to_csv(permuted)
-    _write_text(args.out, text)
+    meta = permuted.meta
+    text = f"# attempts={meta['attempts']} rho_estimate={meta['rho_estimate']}\n"
+    _emit(args.out, args, text + area_variable_to_csv(permuted), seed)
     return 0
 
 
 def _cmd_aggregate(args) -> int:
     seed = _resolve_seed(args)
-    w = _load_weights(args.weights)
-    y = _load_values(args.values, w)
+    w, y, _ = _load_inputs(args)
     regions = random_regions(w, args.k, seed=seed)
     agg = aggregate_mean(y, regions)
     if args.regions_out:
-        _write_text(args.regions_out, _metadata_comment(args, seed) + regionalization_to_csv(regions))
+        _emit(args.regions_out, args, regionalization_to_csv(regions), seed)
     lines = ["region_id,mean,size"]
     lines.extend(
         f"{j},{float(agg.region_means[j])!r},{int(agg.region_sizes[j])}"
         for j in range(agg.k)
     )
-    _write_text(args.out, _metadata_comment(args, seed) + "\n".join(lines) + "\n")
+    _emit(args.out, args, "\n".join(lines) + "\n", seed)
     return 0
 
 
@@ -229,24 +226,18 @@ def _result_table(result) -> str:
 
 
 def _cmd_test(args) -> int:
-    w = _load_weights(args.weights)
-    y = _load_values(args.values, w)
-    null = NullDistribution.from_json(Path(args.null).read_text()) if args.null else None
+    w, y, null = _load_inputs(args)
     result = smaup_test(y, w, args.k, alpha=args.alpha, null=null, rho=args.rho)
     print(_result_table(result))
     verdict = "rejected" if result.rejects(args.alpha) else "not rejected"
     print(f"H0 (not MAUP-sensitive) {verdict} at alpha={args.alpha}")
     if args.json:
-        doc = result.to_dict()
-        doc.update(_metadata(args))
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+        _emit(args.json, args, result.to_dict())
     return 0
 
 
 def _cmd_scan(args) -> int:
-    w = _load_weights(args.weights)
-    y = _load_values(args.values, w)
-    null = NullDistribution.from_json(Path(args.null).read_text()) if args.null else None
+    w, y, null = _load_inputs(args)
     k_max = args.k_max if args.k_max is not None else w.n
     k_min = args.k_min if args.k_min is not None else 1
     results = scan_k(y, w, alpha=args.alpha, k_min=k_min, k_max=k_max, null=null, rho=args.rho)
@@ -266,14 +257,12 @@ def _cmd_scan(args) -> int:
     else:
         print(f"minimum safe k: {verdict} (alpha={args.alpha})")
     if args.json:
-        doc = {
+        _emit(args.json, args, {
             "min_safe_k": verdict,
             "alpha": args.alpha,
             "k_range": [k_min, k_max],
             "results": [res.to_dict() for res in results],
-        }
-        doc.update(_metadata(args))
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+        })
     return 0
 
 
@@ -287,9 +276,7 @@ def _cmd_null(args) -> int:
         w, rho=args.rho, replicates=args.replicates, r=args.r,
         master_seed=seed, workers=args.workers,
     )
-    doc = dist.to_dict()
-    doc.update(_metadata(args, seed))
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _emit(args.out, args, dist.to_dict(), seed)
     return 0
 
 
@@ -305,12 +292,7 @@ def _cmd_power_or_size(args, kind: str) -> int:
         workers=args.workers,
         r=args.r,
     )
-    if args.format == "csv":
-        _write_text(args.out, _metadata_comment(args, seed) + report.to_csv())
-    else:
-        doc = report.to_dict()
-        doc.update(_metadata(args, seed))
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _emit(args.out, args, report.to_csv() if args.format == "csv" else report.to_dict(), seed)
     return 0
 
 
@@ -331,12 +313,7 @@ def _cmd_effects(args) -> int:
         master_seed=seed,
     )
     summary = effects_experiment(config, workers=args.workers)
-    if args.format == "csv":
-        _write_text(args.out, _metadata_comment(args, seed) + summary.to_csv())
-    else:
-        doc = summary.to_dict()
-        doc.update(_metadata(args, seed))
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _emit(args.out, args, summary.to_csv() if args.format == "csv" else summary.to_dict(), seed)
     return 0
 
 
@@ -481,15 +458,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExperimentStallError as exc:
+    except (SmaupError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SmaupError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ExperimentStallError):
+            return 4
+        return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
 
 
 if __name__ == "__main__":

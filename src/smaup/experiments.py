@@ -43,7 +43,7 @@ import numpy as np
 
 from ._version import __version__ as _toolkit_version
 from .core import DEFAULT_PARAMS, SmaupParams, m_statistic
-from .critical_values import DEFAULT_TABLE, CriticalValueTable
+from .critical_values import DEFAULT_TABLE, N_GRID, RHO_GRID, CriticalValueTable
 from .errors import CorruptPartitionError, ExperimentStallError, InvalidDimensionError, InvalidKError
 from .regionalize import _check_growable, _grow
 from .sar import (
@@ -89,8 +89,14 @@ _ROLE_REGIONS = 2
 _ROLE_BASE_FIELD = 3
 _ROLE_TARGET_RHO = 4
 
-REFERENCE_N_VALUES = (25, 100, 225, 400, 625, 900)
-REFERENCE_RHO_VALUES = (-0.9, -0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7, 0.9)
+# Effects recipe in rho-isolation mode: the base field's rho, and the window
+# and attempt budget of the rank-matching permutation toward every other rho.
+_BASE_RHO = 0.9
+_TARGET_WINDOW = 0.5
+_TARGET_MAX_RETRIES = 200
+
+REFERENCE_N_VALUES = N_GRID
+REFERENCE_RHO_VALUES = RHO_GRID
 REFERENCE_K_LISTS: dict[int, tuple[int, ...]] = {
     25: (3, 5, 10, 13, 15, 18, 20, 22, 24),
     100: (2, 4, 7, 12, 25, 40, 53, 67, 80, 90, 99),
@@ -415,9 +421,10 @@ class EffectsConfig:
 
     ``k_lists`` maps each area count N to the region counts to test. In
     rho-isolation mode (default) each instance draws one base field at
-    ``base_rho`` and derives every other autocorrelation level by
-    rank-matching permutation, so all rho levels of an instance share one
-    value multiset and the effect of rho is isolated from sampling noise.
+    rho = 0.9 and derives every other autocorrelation level by rank-matching
+    permutation (estimated rho within 0.5 of the target, at most 200
+    attempts), so all rho levels of an instance share one value multiset and
+    the effect of rho is isolated from sampling noise.
     """
 
     k_lists: dict[int, tuple[int, ...]]
@@ -425,9 +432,6 @@ class EffectsConfig:
     instances: int = 50
     r: int = 30
     rho_isolation: bool = True
-    base_rho: float = 0.9
-    target_window: float = 0.5
-    target_max_retries: int = 200
     master_seed: int = 0
 
     def __post_init__(self):
@@ -538,17 +542,17 @@ def _effects_instance_task(args) -> dict:
     master_seed = config.master_seed
     out: dict[tuple[float, int], tuple] = {}
     base_seed = derive_seed(master_seed, n_index, instance, _ROLE_BASE_FIELD)
-    base = generate_sar(w, SarSpec(rho=config.base_rho, seed=base_seed)) if config.rho_isolation else None
+    base = generate_sar(w, SarSpec(rho=_BASE_RHO, seed=base_seed)) if config.rho_isolation else None
     for rho_index, rho in enumerate(config.rho_values):
         if not config.rho_isolation:
             seed = derive_seed(master_seed, n_index, instance, _ROLE_SAR, rho_index)
             y = generate_sar(w, SarSpec(rho=rho, seed=seed))
-        elif rho == config.base_rho:
+        elif rho == _BASE_RHO:
             y = base
         else:
             seed = derive_seed(master_seed, n_index, instance, _ROLE_TARGET_RHO, rho_index)
-            y = generate_with_target_rho(w, base, target=rho, window=config.target_window,
-                                         max_retries=config.target_max_retries, seed=seed)
+            y = generate_with_target_rho(w, base, target=rho, window=_TARGET_WINDOW,
+                                         max_retries=_TARGET_MAX_RETRIES, seed=seed)
         mu_o = float(y.values.mean())
         var_o = float(y.values.var(ddof=1))
         y_welch, y_levene = _welch_terms(y.values), _levene_terms(y.values)

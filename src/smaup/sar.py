@@ -153,7 +153,7 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
         if w.n < _SPARSE_MIN_N:
             import scipy.linalg
 
-            a = np.eye(w.n) - spec.rho * w.dense
+            a = np.eye(w.n) - spec.rho * w.sparse.toarray()
             y = scipy.linalg.solve(a, eps)
         else:
             y = _sparse_lu(w.sparse.tocsc(), spec.rho).solve(eps)
@@ -180,9 +180,10 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     factorisations per estimate. The first call costs O(n^3) time and one
     n x n array, which is not cached on ``w``.
 
-    For row-standardized W = D^-1 A with symmetric binary A, W is similar to
-    the symmetric D^-1/2 A D^-1/2. That, or any symmetric W, goes to the
-    symmetric eigensolver in place; an asymmetric W to the general one.
+    When every row of W is 1/degree, W = D^-1 A with symmetric binary A is
+    similar to the symmetric D^-1/2 A D^-1/2. That, or any symmetric W, goes
+    to the symmetric eigensolver in place; any other W, including a
+    standardized one with unequal weights in a row, to the general one.
     The cache write is idempotent (first-writer-wins under concurrency).
     """
     cached = w.__dict__.get("_sar_eigenvalues")
@@ -192,9 +193,9 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     import scipy.sparse as sp
 
     a = w.sparse
-    if w.standardized:
-        deg = w.cardinalities.astype(np.float64)
-        deg[deg == 0] = 1.0  # isolated areas contribute a zero eigenvalue either way
+    deg = w.cardinalities.astype(np.float64)
+    deg[deg == 0] = 1.0  # isolated areas contribute a zero eigenvalue either way
+    if w.standardized and np.array_equal(a.data, np.repeat(1.0 / deg, w.cardinalities)):
         d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
         a = d_inv_sqrt @ (a > 0).astype(np.float64) @ d_inv_sqrt
     if not (a != a.T).nnz:  # symmetric, as in _eigenvalue_range
@@ -452,9 +453,10 @@ def generate_with_target_rho(
     )
 
 
-def area_variable_to_csv(y: AreaVariable, header: bool = True) -> str:
-    """Single-column CSV of the values; row order is area index order."""
-    lines = ["value"] if header else []
+def area_variable_to_csv(y: AreaVariable) -> str:
+    """Single-column CSV of the values under a ``value`` header; row order is
+    area index order."""
+    lines = ["value"]
     lines.extend(repr(float(v)) for v in y.values)
     return "\n".join(lines) + "\n"
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical_values import ALPHA_GRID
 from .errors import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -47,7 +48,7 @@ __all__ = [
     "pseudo_p",
 ]
 
-STANDARD_ALPHAS = (0.01, 0.05, 0.1)
+STANDARD_ALPHAS = ALPHA_GRID
 
 
 @dataclass(frozen=True)

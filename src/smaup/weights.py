@@ -128,15 +128,6 @@ class SpatialWeights:
         return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """Weight matrix W as a dense n x n array.
-
-        Only the small-n SAR path reads it (below ``sar._SPARSE_MIN_N``
-        areas); it costs 8 n^2 bytes, 800 MB at n = 10^4.
-        """
-        return self.sparse.toarray()
-
-    @cached_property
     def cardinalities(self) -> np.ndarray:
         """Neighbor count per area."""
         return np.array([len(row) for row in self.neighbors], dtype=np.int64)

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +388,94 @@ class TestExportCommand:
         body = "\n".join(lines)
         assert "0.0,100,0.05,0.15746" in body
         assert "-0.9,25,0.01,0.83702" in body
+
+
+INPUTS = ["--values", "y.csv", "--weights", "w.json"]
+RUN = ["--seed", "1", "--workers", "1"]
+SMALL_CELLS = ["--n", "100", "--rhos=0", "--instances", "2", "--r", "5", *RUN]
+EFFECTS = ["effects", "--cell", "100:12,90", "--rhos=-0.9,0.9", "--instances", "1", "--r", "3",
+           *RUN]
+# the inputs every case reads, made by the commands under test
+SETUP = [
+    ["weights", "--lattice", "10", "10", "--out", "w.json"],
+    ["simulate", "--weights", "w.json", "--rho", "0.5", "--seed", "3", "--out", "y.csv"],
+    ["null", "--n", "100", "--rho", "0", "--replicates", "4", "--r", "5", *RUN,
+     "--out", "null.json"],
+]
+# SHA-256 of every artifact each command writes
+ARTIFACTS = {
+    "weights": (SETUP[0], {
+        "w.json": "e9673ab8040a8a23f42a8c5a317414e97ba1e57d09a22bbf39987cdd8254151e"}),
+    "weights-adjacency-raw": (["weights", "--adjacency", "adj.txt", "--raw", "--out", "a.json"], {
+        "a.json": "c9b754e15f95057b56bf677f7427f6e621757f3c205871e4ea8da6617b129fc1"}),
+    "simulate": (SETUP[1], {
+        "y.csv": "104797ecbaca329572790560ef4fbe1ae0882fc6caaedd8deeea64ee5e3cb7da"}),
+    "permute-rho": (["permute-rho", *INPUTS, "--target", "0.0", "--seed", "5", "--out", "p.csv"], {
+        "p.csv": "140a43b69a06aca1feaf59add4586e93fffe2ba74169fa329ece611b8472bf23"}),
+    "aggregate": (["aggregate", *INPUTS, "--k", "7", "--seed", "2", "--regions-out", "r.csv",
+                   "--out", "m.csv"], {
+        "r.csv": "0b2085c867a22306c36c86a141476f3a7656fcf20a3fc448a9f15d44354fe952",
+        "m.csv": "6b6118f015a286ad760909f289594ccb7dfc68217796daceec13210aa0324f25"}),
+    "test-json": (["test", *INPUTS, "--k", "30", "--json", "t.json"], {
+        "t.json": "d0cac0b49d40725c4a39312a4428eb31c0ea65e893a4857f2afcc5503c326a58"}),
+    "test-null-json": (["test", *INPUTS, "--k", "30", "--rho", "0", "--null", "null.json",
+                        "--json", "t.json"], {
+        "t.json": "8384f73f2c1ab7eb16dab49d76287fb42c98e9a0202b1f6988bb58404fbb9d08"}),
+    "scan-json": (["scan", *INPUTS, "--k-min", "28", "--k-max", "32", "--json", "s.json"], {
+        "s.json": "b1f947bcddcc0c4bca932f165561302b5188b0213fe1dacdbaada6da350d857a"}),
+    "null": (SETUP[2], {
+        "null.json": "c618f587dcae150b4e4a1f0f9626cf6c098d3f61d8ac2ae0ca94306224335ee5"}),
+    "power-json": (["power", *SMALL_CELLS, "--out", "o.json"], {
+        "o.json": "f2266bbbcd30f9064b774f2b3aa3a96c9f98aa054745e2b3eff27bf5f002eab1"}),
+    "power-csv": (["power", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
+        "o.csv": "855e6b17e027a0c62a3739e3a7054cff3ecce1186044742c7cb92f229e10cf39"}),
+    "size-json": (["size", *SMALL_CELLS, "--out", "o.json"], {
+        "o.json": "f9e0d29390d896d48150db0df06ac24a3a50e60c55742bfd18befd54fcc7f966"}),
+    "size-csv": (["size", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
+        "o.csv": "50e650ae52600f9583ec526d0c5a7558b314664b77ec0bb0b75a9daf5a95fe28"}),
+    "effects-json": ([*EFFECTS, "--out", "o.json"], {
+        "o.json": "635a8b4b2c88671f979e5651de5617a7f9a0d9089247da2c7dade00d8fd8a984"}),
+    "effects-csv": ([*EFFECTS, "--format", "csv", "--out", "o.csv"], {
+        "o.csv": "0588450f6e48ca832fbfddd2227cf0b817517076de5d35378abc7cac8333c3df"}),
+    "export-critical-values": (["export-critical-values", "--out", "cv.csv"], {
+        "cv.csv": "4a8d87cbd1dd59bf3a02ba75ccf3a3a99efb77e8fa362cc48f9610df24d189e5"}),
+}
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch, capsys):
+    # config_hash hashes the path strings, so every case runs on the same
+    # relative paths in a directory of its own
+    monkeypatch.chdir(tmp_path)
+    Path("adj.txt").write_text("0: 1 2\n1: 0 3\n2: 0 3\n3: 1 2\n")
+    for args in SETUP:
+        assert main(args) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("case", list(ARTIFACTS))
+    def test_bytes_pinned(self, workdir, case):
+        args, expected = ARTIFACTS[case]
+        assert main(args) == 0
+        written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in expected}
+        assert written == expected
+
+    @pytest.mark.parametrize("args", [
+        ["weights", "--lattice", "3", "3", "--out"],
+        ["simulate", "--lattice", "3", "3", "--rho", "0.5", "--seed", "1", "--out"],
+        ["test", *INPUTS, "--k", "30", "--json"],
+        ["scan", *INPUTS, "--k-min", "28", "--k-max", "32", "--json"],
+    ], ids=["weights", "simulate", "test", "scan"])
+    def test_dash_means_stdout(self, workdir, capsys, args):
+        assert main([*args, "artifact"]) == 0
+        to_file = capsys.readouterr()
+        assert main([*args, "-"]) == 0
+        to_stdout = capsys.readouterr()
+        artifact = Path("artifact").read_text()
+        assert not Path("-").exists()
+        # tables print before the artifact; the weights summary moves to stderr
+        printed = "" if args[0] == "weights" else to_file.out
+        assert to_stdout.out == printed + artifact
+        assert ("connected=True" in to_stdout.err) == (args[0] == "weights")

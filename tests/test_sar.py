@@ -200,6 +200,25 @@ class TestEigenvalues:
         similar = scipy.linalg.eigvalsh(root[:, None] * base.sparse.toarray() * root[None, :])
         assert w_eigenvalues(w) == pytest.approx(similar, rel=0, abs=1e-10)
 
+    def test_standardized_unequal_row_weights_use_w_itself(self, monkeypatch):
+        # W = D^-1 U with symmetric U of uniform(0.2, 1) edge weights: row
+        # sums are 1, rows are not 1/degree, and the spectrum is real
+        base = build_lattice_rook(10, 10)
+        rng = np.random.default_rng(5)
+        u = scipy.sparse.triu(base.sparse > 0, k=1).astype(np.float64)
+        u.data = rng.uniform(0.2, 1.0, u.nnz)
+        u = (u + u.T).tocsr()
+        rows = [u[i].toarray().ravel()[list(row)] for i, row in enumerate(base.neighbors)]
+        weights = tuple(tuple(r / r.sum()) for r in rows)
+        w = SpatialWeights(n=base.n, neighbors=base.neighbors, weights=weights)
+        expected = np.sort(scipy.linalg.eigvals(w.sparse.toarray()).real)
+        assert w_eigenvalues(w) == pytest.approx(expected, rel=0, abs=1e-12)
+        y = generate_sar(w, SarSpec(rho=0.5, seed=3))
+        by_spectrum = estimate_rho(w, y)
+        del w.__dict__["_sar_eigenvalues"]
+        sparse_path(monkeypatch)
+        assert abs(estimate_rho(w, y) - by_spectrum) <= 1e-6
+
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs procfs")
     def test_holds_one_n_by_n_array(self):
         # n = 1600: one float64 n x n array is 20.5 MB; the dense construction

@@ -259,14 +259,15 @@ def labelled_graphs(draw):
     return n, {(label[a], label[b]) for a, b in edges}
 
 
-def weights_from_edges(n, edges):
+def weights_from_edges(n, edges, standardized=False):
     rows = [set() for _ in range(n)]
     for a, b in edges:
         rows[a].add(b)
         rows[b].add(a)
     return SpatialWeights.from_dict({
         "n": n, "neighbors": [sorted(row) for row in rows],
-        "weights": [[1.0] * len(row) for row in rows], "standardized": False,
+        "weights": [[1.0 / len(row) if standardized else 1.0 for _ in row] for row in rows],
+        "standardized": standardized,
     })
 
 
@@ -289,6 +290,90 @@ class TestConnectivityOracle:
         w = build_lattice_rook(4, 4)
         assert is_connected(w)
         assert "sparse" not in w.__dict__
+
+
+class TestAdjacencyRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_graphs(), st.booleans(), st.randoms(use_true_random=False))
+    def test_shuffled_lines_give_the_same_weights(self, graph, standardized, rnd):
+        n, edges = graph
+        w = weights_from_edges(n, edges, standardized)
+        lines = to_adjacency_text(w).splitlines()
+        rnd.shuffle(lines)
+        assert from_adjacency_text("\n".join(lines), standardized=standardized) == w
+
+
+# fault -> the message SpatialWeights must reject it with
+FAULTS = {
+    "asymmetric": "asymmetric adjacency",
+    "self-loop": "lists itself",
+    "out-of-range": "outside",
+    "duplicate": "duplicate neighbor",
+    "unsorted": "ascending",
+    "row-length": r"\d+ neighbors but \d+ weights",
+    "row-sum": "sums to",
+}
+
+
+@st.composite
+def faulty_weights(draw, fault):
+    """Constructor arguments of a connected graph on 3-30 areas with one
+    drawn fault in a drawn row, and the valid arguments it came from."""
+    n = draw(st.integers(3, 30))
+    rows = [set() for _ in range(n)]
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        rows[i].add(j)
+        rows[j].add(i)
+    neighbors = [sorted(row) for row in rows]
+    standardized = fault == "row-sum" or draw(st.booleans())
+    weights = [[1.0 / len(row) if standardized else 1.0 for _ in row] for row in neighbors]
+    valid = {"n": n, "neighbors": tuple(map(tuple, neighbors)),
+             "weights": tuple(map(tuple, weights)), "standardized": standardized}
+    candidates = [i for i in range(n) if len(neighbors[i]) >= (2 if fault == "unsorted" else 1)]
+    i = draw(st.sampled_from(candidates))
+    row, wts = neighbors[i], weights[i]
+    pos = draw(st.integers(0, len(row) - 1))
+    if fault == "asymmetric":
+        j = row[pos]
+        at = neighbors[j].index(i)
+        del neighbors[j][at], weights[j][at]
+        if standardized:
+            weights[j] = [1.0 / len(neighbors[j]) for _ in neighbors[j]]
+    elif fault == "self-loop":
+        at = sum(j < i for j in row)
+        row.insert(at, i)
+        wts.insert(at, wts[0])
+    elif fault == "out-of-range":
+        if draw(st.booleans()):
+            row.append(n + draw(st.integers(0, 5)))
+            wts.append(wts[0])
+        else:
+            row.insert(0, -1 - draw(st.integers(0, 5)))
+            wts.insert(0, wts[0])
+    elif fault == "duplicate":
+        row.insert(pos, row[pos])
+        wts.insert(pos, wts[pos])
+    elif fault == "unsorted":
+        row.reverse()
+    elif fault == "row-length":
+        del wts[pos]
+    else:
+        wts[pos] *= draw(st.sampled_from([0.5, 1 + 1e-9, 2.0, -1.0]))
+    faulty = {**valid, "neighbors": tuple(map(tuple, neighbors)),
+              "weights": tuple(map(tuple, weights))}
+    return valid, faulty
+
+
+class TestSpatialWeightsRejects:
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_one_fault_in_a_valid_graph(self, fault, data):
+        valid, faulty = data.draw(faulty_weights(fault))
+        SpatialWeights(**valid)
+        with pytest.raises(InvalidDimensionError, match=FAULTS[fault]):
+            SpatialWeights(**faulty)
 
 
 @st.composite
