@@ -57,7 +57,6 @@ from .experiments import (
     effects_experiment,
     generate_null,
     lattice_for_area_count,
-    reference_effects_config,
     power_experiment,
     size_experiment,
 )
@@ -151,7 +150,6 @@ __all__ = [
     "EffectsSummary",
     "PowerSizeReport",
     "effects_experiment",
-    "reference_effects_config",
     "generate_null",
     "power_experiment",
     "size_experiment",

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__ as _toolkit_version
-from .critical_values import (
-    ALPHA_GRID,
-    DEFAULT_TABLE,
-    CriticalValueTable,
-)
+from .critical_values import ALPHA_GRID, DEFAULT_TABLE, RHO_GRID, critical_value
 from .errors import InvalidAlphaError, InvalidKError, ShapeMismatchError
 from .sar import AreaVariable, estimate_rho
 from .stats import pseudo_p as _pseudo_p
@@ -57,9 +53,9 @@ class SmaupParams:
 
     ``logistic_intercept``/``logistic_slope`` shape the ceiling L(theta),
     ``power_scale``/``power_exponent`` the onset eta(theta), and
-    ``tau_intercept``/``tau_slope`` the decline speed tau(theta). Override
-    only through explicit configuration; the defaults are the published
-    calibration.
+    ``tau_intercept``/``tau_slope`` the decline speed tau(theta). The
+    defaults are the published calibration, and :data:`DEFAULT_PARAMS`, the
+    one instance the statistic reads, records them.
     """
 
     logistic_intercept: float = -2.188  # b
@@ -83,7 +79,7 @@ class SmaupParams:
 DEFAULT_PARAMS = SmaupParams()
 
 
-def l_of_theta(theta, params: SmaupParams = DEFAULT_PARAMS):
+def l_of_theta(theta):
     """Ceiling of the statistic: inverse logistic 1 / (1 + e^(b + m*theta)).
 
     Strictly decreasing in theta for positive slope: heavy aggregation
@@ -91,37 +87,37 @@ def l_of_theta(theta, params: SmaupParams = DEFAULT_PARAMS):
     caps it near zero.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    out = 1.0 / (1.0 + np.exp(params.logistic_intercept + params.logistic_slope * theta))
+    out = 1.0 / (1.0 + np.exp(DEFAULT_PARAMS.logistic_intercept + DEFAULT_PARAMS.logistic_slope * theta))
     return float(out) if out.ndim == 0 else out
 
 
-def eta_of_theta(theta, params: SmaupParams = DEFAULT_PARAMS):
+def eta_of_theta(theta):
     """Decline-onset factor: power law p * theta^a, increasing on (0, 1]."""
     theta = np.asarray(theta, dtype=np.float64)
-    out = params.power_scale * np.power(theta, params.power_exponent)
+    out = DEFAULT_PARAMS.power_scale * np.power(theta, DEFAULT_PARAMS.power_exponent)
     return float(out) if out.ndim == 0 else out
 
 
-def tau_of_theta(theta, params: SmaupParams = DEFAULT_PARAMS):
+def tau_of_theta(theta):
     """Decline-speed factor: affine beta0 + beta1 * theta.
 
     Positive for theta below ~0.9615 with default constants, negative above;
     its sign sets whether M falls or rises in rho.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    out = params.tau_intercept + params.tau_slope * theta
+    out = DEFAULT_PARAMS.tau_intercept + DEFAULT_PARAMS.tau_slope * theta
     return float(out) if out.ndim == 0 else out
 
 
-def m_statistic(rho, theta, params: SmaupParams = DEFAULT_PARAMS):
+def m_statistic(rho, theta):
     """The sensitivity statistic M(rho, theta) = L / (1 + eta * e^(tau*rho)).
 
     Always strictly inside (0, L(theta)) because the denominator exceeds 1.
     Accepts scalars or broadcastable arrays.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    den = 1.0 + eta_of_theta(theta, params) * np.exp(tau_of_theta(theta, params) * rho)
-    out = l_of_theta(theta, params) / den
+    den = 1.0 + eta_of_theta(theta) * np.exp(tau_of_theta(theta) * rho)
+    out = l_of_theta(theta) / den
     return float(out) if out.ndim == 0 else out
 
 
@@ -143,7 +139,6 @@ class SmaupResult:
     decision: dict[float, bool]
     pseudo_p: float | None = None
     pseudo_p_decision: dict[float, bool] | None = None
-    params: SmaupParams = field(default=DEFAULT_PARAMS, compare=False)
 
     @property
     def _verdicts(self) -> dict[float, bool]:
@@ -184,7 +179,7 @@ class SmaupResult:
                 if self.pseudo_p_decision is None
                 else {str(a): bool(v) for a, v in self.pseudo_p_decision.items()}
             ),
-            "params": self.params.to_dict(),
+            "params": DEFAULT_PARAMS.to_dict(),
         }
         return d
 
@@ -216,8 +211,6 @@ def smaup_test(
     alpha: float = 0.05,
     null=None,
     rho: float | None = None,
-    params: SmaupParams = DEFAULT_PARAMS,
-    table: CriticalValueTable = DEFAULT_TABLE,
 ) -> SmaupResult:
     """Test whether aggregating ``y`` into k regions distorts its distribution.
 
@@ -246,7 +239,7 @@ def smaup_test(
     """
     if not 1 <= k <= w.n:
         raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
-    return scan_k(y, w, alpha, k, k, null, rho, params, table)[0]
+    return scan_k(y, w, alpha, k, k, null, rho)[0]
 
 
 def scan_k(
@@ -257,8 +250,6 @@ def scan_k(
     k_max: int | None = None,
     null=None,
     rho: float | None = None,
-    params: SmaupParams = DEFAULT_PARAMS,
-    table: CriticalValueTable = DEFAULT_TABLE,
 ) -> list[SmaupResult]:
     """Test every aggregation level from k_max down to k_min.
 
@@ -278,7 +269,7 @@ def scan_k(
     rho_used = float(rho) if rho is not None else estimate_rho(w, y)
     null_rho = getattr(null, "rho", None)
     if null_rho is not None:
-        null_cell, cell = (table.rho_grid[table._snap_rho(r)] for r in (null_rho, rho_used))
+        null_cell, cell = (RHO_GRID[DEFAULT_TABLE._snap_rho(r)] for r in (null_rho, rho_used))
         if null_cell != cell:
             warnings.warn(
                 f"null was simulated at rho={null_rho:g} (table cell {null_cell:g}), but the "
@@ -286,11 +277,11 @@ def scan_k(
                 f"against a null for another rho",
                 stacklevel=2,
             )
-    crit = {a: table.lookup(w.n, rho_used, a) for a in ALPHA_GRID}
+    crit = {a: critical_value(w.n, rho_used, a) for a in ALPHA_GRID}
     ks = range(k_max, k_min - 1, -1)
     thetas = np.asarray(ks, dtype=np.float64) / w.n
     results = []
-    for k, theta, m in zip(ks, thetas, m_statistic(rho_used, thetas, params)):
+    for k, theta, m in zip(ks, thetas, m_statistic(rho_used, thetas)):
         if nv is None:
             pp, pp_decision = None, None
         else:
@@ -306,7 +297,6 @@ def scan_k(
             decision={a: bool(m > crit[a]) for a in ALPHA_GRID},
             pseudo_p=pp,
             pseudo_p_decision=pp_decision,
-            params=params,
         ))
     return results
 
@@ -319,8 +309,6 @@ def min_safe_k(
     k_max: int | None = None,
     null=None,
     rho: float | None = None,
-    params: SmaupParams = DEFAULT_PARAMS,
-    table: CriticalValueTable = DEFAULT_TABLE,
 ) -> int | None:
     """Smallest aggregation level in [k_min, k_max] the test deems safe.
 
@@ -332,4 +320,4 @@ def min_safe_k(
     The rejection rule is the critical-value comparison, or the pseudo-p
     comparison when a simulated null vector is supplied.
     """
-    return _first_safe_k(scan_k(y, w, alpha, k_min, k_max, null, rho, params, table), alpha)
+    return _first_safe_k(scan_k(y, w, alpha, k_min, k_max, null, rho), alpha)

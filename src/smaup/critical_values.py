@@ -2,10 +2,9 @@
 
 The table holds the 90/95/99th percentiles of the statistic's simulated null
 distribution on a grid of autocorrelation levels (rho) and area counts (N),
-at significance levels 0.1 / 0.05 / 0.01. Lookups snap the query point to the
-nearest grid cell (no interpolation by default), matching how the published
-example rows treat off-grid inputs; an optional bilinear mode is available
-for smoother behavior.
+at significance levels 0.1 / 0.05 / 0.01. A lookup snaps the query point to
+the nearest grid cell, with no interpolation, matching how the published
+example rows treat off-grid inputs.
 
 The data is a versioned asset: bump ``TABLE_VERSION`` whenever entries change.
 """
@@ -87,7 +86,7 @@ _TABLE_DATA: dict[float, dict[float, tuple[float, ...]]] = {
 
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Critical values on a (rho, alpha, N) grid with snap or bilinear lookup."""
+    """Critical values on a (rho, alpha, N) grid with nearest-cell lookup."""
 
     rho_grid: tuple[float, ...]
     n_grid: tuple[int, ...]
@@ -148,26 +147,6 @@ class CriticalValueTable:
         ja = self._alpha_index(alpha)
         return float(self.values[self._snap_rho(rho), ja, self._snap_n(n)])
 
-    def lookup_bilinear(self, n: int, rho: float, alpha: float) -> float:
-        """Bilinear interpolation in (rho, N), clamped to the grid hull."""
-        ja = self._alpha_index(alpha)
-        rg = np.asarray(self.rho_grid)
-        ng = np.asarray(self.n_grid, dtype=np.float64)
-        r = min(max(rho, rg[0]), rg[-1])
-        m = float(min(max(n, ng[0]), ng[-1]))
-        i1 = int(np.searchsorted(rg, r))
-        i0 = max(i1 - 1, 0)
-        i1 = min(i1, rg.size - 1)
-        j1 = int(np.searchsorted(ng, m))
-        j0 = max(j1 - 1, 0)
-        j1 = min(j1, ng.size - 1)
-        tr = 0.0 if i0 == i1 else (r - rg[i0]) / (rg[i1] - rg[i0])
-        tn = 0.0 if j0 == j1 else (m - ng[j0]) / (ng[j1] - ng[j0])
-        v = self.values[:, ja, :]
-        v0 = v[i0, j0] * (1 - tn) + v[i0, j1] * tn
-        v1 = v[i1, j0] * (1 - tn) + v[i1, j1] * tn
-        return float(v0 * (1 - tr) + v1 * tr)
-
     def to_csv(self) -> str:
         """Long-format export: ``rho,n,alpha,value`` rows."""
         lines = ["rho,n,alpha,value"]
@@ -191,25 +170,14 @@ def _build_default() -> CriticalValueTable:
 DEFAULT_TABLE = _build_default()
 
 
-def critical_value(
-    n: int,
-    rho: float,
-    alpha: float,
-    table: CriticalValueTable = DEFAULT_TABLE,
-    mode: str = "nearest",
-) -> float:
+def critical_value(n: int, rho: float, alpha: float) -> float:
     """Critical value for a test on N areas at autocorrelation rho and level alpha.
 
-    ``mode="nearest"`` (default) snaps rho to the closest grid row (ties
-    toward 0) and N to the closest grid column (clamped to [25, 900]).
-    ``mode="bilinear"`` interpolates instead.
+    rho snaps to the closest grid row (ties toward 0) and N to the closest
+    grid column (clamped to [25, 900]).
     """
-    if mode == "nearest":
-        return table.lookup(n, rho, alpha)
-    if mode == "bilinear":
-        return table.lookup_bilinear(n, rho, alpha)
-    raise ValueError(f"mode must be 'nearest' or 'bilinear', got {mode!r}")
+    return DEFAULT_TABLE.lookup(n, rho, alpha)
 
 
-def export_critical_values_csv(table: CriticalValueTable = DEFAULT_TABLE) -> str:
-    return table.to_csv()
+def export_critical_values_csv() -> str:
+    return DEFAULT_TABLE.to_csv()

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__ as _toolkit_version
-from .core import DEFAULT_PARAMS, SmaupParams, m_statistic
-from .critical_values import DEFAULT_TABLE, N_GRID, RHO_GRID, CriticalValueTable
+from .core import m_statistic
+from .critical_values import RHO_GRID, critical_value
 from .errors import CorruptPartitionError, ExperimentStallError, InvalidDimensionError, InvalidKError
 from .regionalize import _check_growable, _grow
 from .sar import (
@@ -69,9 +69,6 @@ __all__ = [
     "generate_null",
     "power_experiment",
     "size_experiment",
-    "REFERENCE_N_VALUES",
-    "REFERENCE_RHO_VALUES",
-    "REFERENCE_K_LISTS",
 ]
 
 # Levene level used inside the acceptance filters.
@@ -94,18 +91,6 @@ _ROLE_TARGET_RHO = 4
 _BASE_RHO = 0.9
 _TARGET_WINDOW = 0.5
 _TARGET_MAX_RETRIES = 200
-
-REFERENCE_N_VALUES = N_GRID
-REFERENCE_RHO_VALUES = RHO_GRID
-REFERENCE_K_LISTS: dict[int, tuple[int, ...]] = {
-    25: (3, 5, 10, 13, 15, 18, 20, 22, 24),
-    100: (2, 4, 7, 12, 25, 40, 53, 67, 80, 90, 99),
-    225: (3, 5, 10, 15, 30, 60, 90, 120, 150, 180, 200, 220),
-    400: (4, 9, 18, 26, 50, 110, 160, 213, 267, 320, 360, 396),
-    625: (4, 6, 14, 27, 43, 80, 170, 250, 333, 417, 500, 563, 618),
-    900: (4, 9, 20, 40, 60, 120, 240, 360, 480, 600, 720, 810, 890),
-}
-
 
 def lattice_for_area_count(n: int) -> SpatialWeights:
     """Square rook lattice with n areas; n must be a perfect square."""
@@ -261,7 +246,6 @@ def generate_null(
     r: int = 30,
     master_seed: int = 0,
     workers: int = 1,
-    params: SmaupParams = DEFAULT_PARAMS,
 ) -> NullDistribution:
     """Simulate the statistic's null distribution for one (N, rho) pair.
 
@@ -281,7 +265,7 @@ def generate_null(
     return NullDistribution(
         n=w.n,
         rho=rho,
-        values=np.array([m_statistic(res["rho_hat"], res["k"] / w.n, params) for res in results]),
+        values=np.array([m_statistic(res["rho_hat"], res["k"] / w.n) for res in results]),
         replicates=replicates,
         r_aggregations=r,
         master_seed=master_seed,
@@ -338,9 +322,6 @@ def _rejection_experiment(
     master_seed: int,
     workers: int,
     r: int,
-    reestimate_rho: bool,
-    params: SmaupParams,
-    table: CriticalValueTable,
 ) -> PowerSizeReport:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -356,8 +337,8 @@ def _rejection_experiment(
     for (n, rho), results in zip(pairs, _fan_out(_instance_task, cells, instances, workers)):
         rejections = 0
         for res in results:
-            rho_used = res["rho_hat"] if reestimate_rho else rho
-            rejections += m_statistic(rho_used, res["k"] / n, params) > table.lookup(n, rho_used, alpha)
+            rho_hat = res["rho_hat"]
+            rejections += m_statistic(rho_hat, res["k"] / n) > critical_value(n, rho_hat, alpha)
         report_cells.append({"n": n, "rho": rho, "proportion": rejections / instances})
     return PowerSizeReport(
         kind=kind,
@@ -376,19 +357,13 @@ def power_experiment(
     master_seed: int = 0,
     workers: int = 1,
     r: int = 30,
-    reestimate_rho: bool = True,
-    params: SmaupParams = DEFAULT_PARAMS,
-    table: CriticalValueTable = DEFAULT_TABLE,
 ) -> PowerSizeReport:
     """Estimated probability of rejecting when aggregation truly distorts.
 
     Instances satisfy the alternative (Levene rejects for every one of the r
     aggregations); the report gives the fraction of them our test rejects.
     """
-    return _rejection_experiment(
-        "power", n_values, rho_values, instances, alpha, master_seed,
-        workers, r, reestimate_rho, params, table,
-    )
+    return _rejection_experiment("power", n_values, rho_values, instances, alpha, master_seed, workers, r)
 
 
 def size_experiment(
@@ -399,15 +374,9 @@ def size_experiment(
     master_seed: int = 0,
     workers: int = 1,
     r: int = 30,
-    reestimate_rho: bool = True,
-    params: SmaupParams = DEFAULT_PARAMS,
-    table: CriticalValueTable = DEFAULT_TABLE,
 ) -> PowerSizeReport:
     """Estimated type-I error: rejection rate on instances satisfying the null."""
-    return _rejection_experiment(
-        "size", n_values, rho_values, instances, alpha, master_seed,
-        workers, r, reestimate_rho, params, table,
-    )
+    return _rejection_experiment("size", n_values, rho_values, instances, alpha, master_seed, workers, r)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +397,7 @@ class EffectsConfig:
     """
 
     k_lists: dict[int, tuple[int, ...]]
-    rho_values: tuple[float, ...] = REFERENCE_RHO_VALUES
+    rho_values: tuple[float, ...] = RHO_GRID
     instances: int = 50
     r: int = 30
     rho_isolation: bool = True
@@ -443,16 +412,6 @@ class EffectsConfig:
                     )
         if self.r < 1:
             raise ValueError("r must be >= 1")
-
-
-def reference_effects_config(instances: int = 50, master_seed: int = 0) -> EffectsConfig:
-    """The full published sweep: all six lattices, nine rho levels, r = 30."""
-    return EffectsConfig(
-        k_lists=dict(REFERENCE_K_LISTS),
-        rho_values=REFERENCE_RHO_VALUES,
-        instances=instances,
-        master_seed=master_seed,
-    )
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,10 @@ __all__ = [
 # cached on the weights is used at any size (see ``w_eigenvalues``).
 _SPARSE_MIN_N = 1000
 
+# Arnoldi looks for W's extreme real eigenvalues among this many eigenvalues
+# of smallest and of largest real part (ARPACK's default count).
+_ARNOLDI_K = 6
+
 _RHO_SEARCH_LO = -0.999
 _RHO_SEARCH_HI = 0.999
 _RHO_SEARCH_TOL = 1e-6
@@ -170,7 +174,7 @@ def _has_spectrum(w: SpatialWeights) -> bool:
 
 
 def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
-    """Real eigenvalues of W, ascending, cached on the weights object.
+    """Eigenvalues of W, ascending, cached on the weights object.
 
     A caller about to estimate rho many times on one W, such as a Monte
     Carlo run before it fans out to workers (the cache travels with the
@@ -183,8 +187,10 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     When every row of W is 1/degree, W = D^-1 A with symmetric binary A is
     similar to the symmetric D^-1/2 A D^-1/2. That, or any symmetric W, goes
     to the symmetric eigensolver in place; any other W, including a
-    standardized one with unequal weights in a row, to the general one.
-    The cache write is idempotent (first-writer-wins under concurrency).
+    standardized one with unequal weights in a row, to the general one. A
+    general spectrum stays complex, sorted by real and then imaginary part,
+    unless every eigenvalue is real. The cache write is idempotent
+    (first-writer-wins under concurrency).
     """
     cached = w.__dict__.get("_sar_eigenvalues")
     if cached is not None:
@@ -201,26 +207,43 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     if not (a != a.T).nnz:  # symmetric, as in _eigenvalue_range
         lam = scipy.linalg.eigvalsh(a.toarray(order="F"), overwrite_a=True)
     else:
-        lam = np.sort(scipy.linalg.eigvals(a.toarray(), overwrite_a=True).real)
+        lam = np.sort(scipy.linalg.eigvals(a.toarray(), overwrite_a=True))
+        if not lam.imag.any():
+            lam = lam.real
     lam = np.ascontiguousarray(lam)
     lam.flags.writeable = False
     w.__dict__["_sar_eigenvalues"] = lam
     return lam
 
 
+def _real_range(lam: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest real eigenvalue among ``lam``.
+
+    For real rho, only a real eigenvalue lambda makes (I - rho W) singular,
+    at rho = 1/lambda, so the stability interval comes from the real
+    eigenvalues alone (LeSage & Pace 2009, sec. 4.1). When ``lam`` holds no
+    real eigenvalue its real parts stand in; they bound the interval from
+    inside.
+    """
+    real = lam.real[lam.imag == 0]
+    if not real.size:
+        real = lam.real
+    return float(real.min()), float(real.max())
+
+
 def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of W.
+    """Smallest and largest real eigenvalue of W (see ``_real_range``).
 
     Below ``_SPARSE_MIN_N``, or when the spectrum is cached, they are read
     off the spectrum. Otherwise two ARPACK runs from a fixed start vector find them, so the
     pair is deterministic: Lanczos (``eigsh``) for a symmetric W, which is
     every non-standardized W the constructors build, else Arnoldi (``eigs``)
-    on real parts, as the spectrum path reads them. The pair is cached on the
-    weights object like the spectrum.
+    for the ``_ARNOLDI_K`` eigenvalues of smallest and of largest real part.
+    When those hold a real eigenvalue, the most extreme real one among them is
+    W's. The pair is cached on the weights object like the spectrum.
     """
     if _has_spectrum(w):
-        lam = w_eigenvalues(w)
-        return float(lam[0]), float(lam[-1])
+        return _real_range(w_eigenvalues(w))
     cached = w.__dict__.get("_sar_eigenvalue_range")
     if cached is not None:
         return cached
@@ -228,12 +251,12 @@ def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
 
     a = w.sparse
     if (a != a.T).nnz:
-        solver, ends = spla.eigs, ("SR", "LR")
+        solver, ends, k = spla.eigs, ("SR", "LR"), min(_ARNOLDI_K, w.n - 2)
     else:
-        solver, ends = spla.eigsh, ("SA", "LA")
+        solver, ends, k = spla.eigsh, ("SA", "LA"), 1
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
-    lo, hi = (
-        float(solver(a, k=1, which=which, v0=v0, return_eigenvectors=False)[0].real)
+    (lo, _), (_, hi) = (
+        _real_range(solver(a, k=k, which=which, v0=v0, return_eigenvectors=False))
         for which in ends
     )
     w.__dict__["_sar_eigenvalue_range"] = (lo, hi)
@@ -257,23 +280,28 @@ def _log_det_function(w: SpatialWeights):
     """log det(I - rho W) as a function of rho, -inf where it does not exist.
 
     Below ``_SPARSE_MIN_N``, or when the spectrum is cached, it sums
-    log(1 - rho * lambda) over the eigenvalues of W; outside the stable range
-    of a non-standardized W some 1 - rho * lambda turns negative and the sum
-    is not finite. Otherwise it sums log|diag U| of a sparse LU
-    factorisation; |det| stays finite outside the stability interval, so a
-    non-standardized W is bounded explicitly.
+    log|1 - rho * lambda| over the eigenvalues of W: log1p(-rho * lambda) for
+    a real spectrum, and for a complex one the modulus, so that a conjugate
+    pair adds log|1 - rho * lambda|^2. Otherwise it sums log|diag U| of a
+    sparse LU factorisation. |det| stays finite outside the stability
+    interval, so a non-standardized W is bounded explicitly on both paths.
 
     Every rho != 0 gives (I - rho W) the same sparsity pattern, so the
     COLAMD column ordering is computed once, by the first such evaluation.
     Later evaluations factor the column-permuted matrix in natural order,
     which yields the same U bit for bit without reordering.
     """
+    bounds = None if w.standardized else _eigenvalue_range(w)
     if _has_spectrum(w):
         lam = w_eigenvalues(w)
+        complex_spectrum = np.iscomplexobj(lam)
 
         def log_det(rho: float) -> float:
+            if bounds is not None and not _stable(rho, *bounds):
+                return -math.inf
             with np.errstate(invalid="ignore", divide="ignore"):
-                return float(np.sum(np.log1p(-rho * lam)))
+                terms = np.log(np.abs(1.0 - rho * lam)) if complex_spectrum else np.log1p(-rho * lam)
+                return float(np.sum(terms))
 
         return log_det
 
@@ -283,7 +311,6 @@ def _log_det_function(w: SpatialWeights):
     w_csc = w.sparse.tocsc()
     eye = sp.identity(w.n, format="csc")
     permc_spec = "COLAMD"
-    bounds = None if w.standardized else _eigenvalue_range(w)
 
     def log_det(rho: float) -> float:
         nonlocal eye, w_csc, permc_spec

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical_values import ALPHA_GRID
 from .errors import (
     DegenerateSampleError,
     InsufficientDataError,
@@ -37,7 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "STANDARD_ALPHAS",
     "TestOutcome",
     "descriptives",
     "rcm",
@@ -48,28 +46,19 @@ __all__ = [
     "pseudo_p",
 ]
 
-STANDARD_ALPHAS = ALPHA_GRID
-
-
 @dataclass(frozen=True)
 class TestOutcome:
-    """Statistic, two-sided p-value, and reject decisions at standard levels."""
+    """Statistic and two-sided p-value of a two-sample test."""
 
     statistic: float
     p_value: float
-    rejected_at: dict[float, bool]
 
     def rejects(self, alpha: float) -> bool:
         return self.p_value < alpha
 
 
 def _outcome(statistic: float, p_value: float) -> TestOutcome:
-    p = float(min(max(p_value, 0.0), 1.0))
-    return TestOutcome(
-        statistic=float(statistic),
-        p_value=p,
-        rejected_at={a: p < a for a in STANDARD_ALPHAS},
-    )
+    return TestOutcome(statistic=float(statistic), p_value=float(min(max(p_value, 0.0), 1.0)))
 
 
 def _mean_and_ss(x: np.ndarray) -> tuple[float, float]:

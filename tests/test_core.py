@@ -14,7 +14,6 @@ from smaup import (
     NullDistribution,
     SarSpec,
     ShapeMismatchError,
-    SmaupParams,
     build_lattice_rook,
     estimate_rho,
     eta_of_theta,
@@ -30,8 +29,9 @@ from smaup import (
 mp.dps = 50
 
 
-def oracle_m(rho, theta, params=DEFAULT_PARAMS):
+def oracle_m(rho, theta):
     """Independent extended-precision evaluation of the statistic."""
+    params = DEFAULT_PARAMS
     b = mpf(repr(params.logistic_intercept))
     m = mpf(repr(params.logistic_slope))
     p = mpf(repr(params.power_scale))
@@ -118,12 +118,6 @@ class TestStatistic:
         for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
             values = m_statistic(rho, grid)
             assert np.all(np.diff(values) < 0)
-
-    def test_custom_params_flow_through(self):
-        params = SmaupParams(logistic_slope=7.301)
-        expected = float(oracle_m(0.0, 0.5, params))
-        assert m_statistic(0.0, 0.5, params) == pytest.approx(expected, abs=1e-12)
-        assert m_statistic(0.0, 0.5, params) != m_statistic(0.0, 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -71,25 +71,6 @@ class TestSnapping:
         with pytest.raises(InvalidAlphaError):
             critical_value(100, 0.0, 0.025)
 
-    def test_bilinear_matches_table_at_grid_points(self):
-        for rho in RHO_GRID:
-            for n in N_GRID:
-                for alpha in ALPHA_GRID:
-                    nearest = critical_value(n, rho, alpha)
-                    smooth = critical_value(n, rho, alpha, mode="bilinear")
-                    assert smooth == pytest.approx(nearest, abs=1e-12)
-
-    def test_bilinear_interpolates_between_rows(self):
-        low = critical_value(100, 0.0, 0.05)
-        high = critical_value(100, 0.3, 0.05)
-        mid = critical_value(100, 0.15, 0.05, mode="bilinear")
-        assert min(low, high) <= mid <= max(low, high)
-        assert mid == pytest.approx((low + high) / 2, rel=1e-12)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            critical_value(100, 0.0, 0.05, mode="cubic")
-
 
 class TestExport:
     def test_csv_has_all_entries_and_round_trips(self):

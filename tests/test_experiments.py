@@ -7,23 +7,21 @@ import numpy as np
 import pytest
 
 from smaup import (
-    ALPHA_GRID,
-    N_GRID,
-    RHO_GRID,
     AreaVariable,
     ContiguityError,
     CorruptPartitionError,
-    CriticalValueTable,
     EffectsConfig,
     ExperimentStallError,
     InvalidKError,
     NullDistribution,
     build_lattice_rook,
+    critical_value,
     effects_experiment,
     from_adjacency_text,
     generate_null,
     generate_sar,
     lattice_for_area_count,
+    m_statistic,
     power_experiment,
     size_experiment,
 )
@@ -36,13 +34,6 @@ from smaup.regionalize import aggregate_mean, random_regions
 from smaup.sar import SarSpec
 from smaup.seeding import derive_seed
 from smaup.stats import levene_test
-
-
-def constant_table(value: float) -> CriticalValueTable:
-    values = np.full((9, 3, 6), value)
-    return CriticalValueTable(
-        rho_grid=RHO_GRID, n_grid=N_GRID, alpha_grid=ALPHA_GRID, values=values
-    )
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +91,7 @@ class TestAcceptanceRecipe:
             y = generate_sar(w100, SarSpec(rho=0.0, seed=seed))
             k = 11 + seed % 88
             # repeat seeds derive_seed(seed, rep), rep < 5
-            rejections = [levene_test(y.values, means).rejected_at[0.05]
+            rejections = [levene_test(y.values, means).rejects(0.05)
                           for means in _region_means(y, w100, k, (seed,), 5)]
             assert len(rejections) == 5
             null_pass = not any(rejections)
@@ -228,15 +219,28 @@ class TestPowerAndSize:
         report = size_experiment([100], [0.0], instances=20, master_seed=11)
         assert report.proportion(100, 0.0) <= 0.25
 
-    def test_degenerate_tiny_critical_values_give_power_one(self):
-        report = power_experiment([100], [0.0], instances=5, master_seed=12,
-                                  table=constant_table(1e-9))
+    def test_degenerate_tiny_critical_values_give_power_one(self, monkeypatch):
+        monkeypatch.setattr(experiments, "critical_value", lambda n, rho, alpha: 1e-9)
+        report = power_experiment([100], [0.0], instances=5, master_seed=12)
         assert report.proportion(100, 0.0) == 1.0
 
-    def test_degenerate_huge_critical_values_give_size_zero(self):
-        report = size_experiment([100], [0.0], instances=5, master_seed=13,
-                                 table=constant_table(0.999999))
+    def test_degenerate_huge_critical_values_give_size_zero(self, monkeypatch):
+        monkeypatch.setattr(experiments, "critical_value", lambda n, rho, alpha: 0.999999)
+        report = size_experiment([100], [0.0], instances=5, master_seed=13)
         assert report.proportion(100, 0.0) == 0.0
+
+    def test_proportion_is_the_share_of_instances_above_the_table(self, w100):
+        # each accepted instance is priced at its own estimated rho
+        for runner, mode, seed in ((power_experiment, "always_reject", 12),
+                                   (size_experiment, "never_reject", 13)):
+            report = runner([100], [0.0], instances=5, master_seed=seed)
+            cell = (w100, 0.0, seed, mode, 30, 1)
+            (records,) = experiments._fan_out(experiments._instance_task, [cell], 5, 1)
+            rejections = sum(
+                m_statistic(rec["rho_hat"], rec["k"] / 100) > critical_value(100, rec["rho_hat"], 0.05)
+                for rec in records
+            )
+            assert report.proportion(100, 0.0) == rejections / 5, mode
 
     def test_report_json_and_csv(self):
         report = power_experiment([100], [0.0], instances=3, master_seed=14)
@@ -252,12 +256,6 @@ class TestPowerAndSize:
         a = power_experiment([100], [0.0], instances=6, master_seed=15, workers=1)
         b = power_experiment([100], [0.0], instances=6, master_seed=15, workers=4)
         assert a.to_json() == b.to_json()
-
-    def test_reuse_generator_rho_flag(self):
-        a = size_experiment([100], [0.0], instances=5, master_seed=16, reestimate_rho=True)
-        b = size_experiment([100], [0.0], instances=5, master_seed=16, reestimate_rho=False)
-        # same accepted instances either way; decisions may differ only via rho
-        assert a.instances == b.instances
 
 
 class TestEffects:
@@ -351,17 +349,6 @@ class TestEffects:
         a = effects_experiment(config, workers=1)
         b = effects_experiment(config, workers=2)
         assert a.to_json() == b.to_json()
-
-    def test_reference_config_shape(self):
-        from smaup.experiments import reference_effects_config
-        config = reference_effects_config()
-        assert sorted(config.k_lists) == [25, 100, 225, 400, 625, 900]
-        assert len(config.rho_values) == 9
-        assert config.r == 30
-        assert config.instances == 50
-        assert config.rho_isolation
-        # every k list respects its lattice size
-        assert all(max(ks) < n for n, ks in config.k_lists.items())
 
 
 def payload_sha256(result) -> str:

@@ -249,6 +249,93 @@ class TestEigenvalues:
         assert json.loads(proc.stdout)["grew_mb"] < 1.5 * one_array_mb
 
 
+def independent_rows(side, seed):
+    """A standardized W with each row drawn on its own: uniform(0.2, 1)
+    weights on a rook lattice, normalised row by row.
+
+    Unlike ``scaled_rows`` or D^-1 U with symmetric U, W is not similar to a
+    symmetric matrix, and its spectrum has complex conjugate pairs.
+    """
+    base = build_lattice_rook(side, side)
+    rng = np.random.default_rng(seed)
+    weights = []
+    for row in base.neighbors:
+        draw = rng.uniform(0.2, 1.0, len(row))
+        weights.append(tuple(draw / draw.sum()))
+    return SpatialWeights(n=base.n, neighbors=base.neighbors, weights=tuple(weights))
+
+
+def ring(n, forward, backward):
+    """Non-standardized W on a cycle: weight ``forward`` to area i + 1 and
+    ``backward`` to area i - 1. Its eigenvalues are forward * z + backward / z
+    over the n-th roots of unity z; for odd n only z = 1 gives a real one."""
+    neighbors = tuple(tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n))
+    weights = tuple(
+        tuple(forward if j == (i + 1) % n else backward for j in row)
+        for i, row in enumerate(neighbors)
+    )
+    return SpatialWeights(n=n, neighbors=neighbors, weights=weights, standardized=False)
+
+
+class TestComplexSpectrum:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_det_matches_slogdet(self, seed):
+        w = independent_rows(10, seed)
+        dense = w.sparse.toarray()
+        assert np.abs(scipy.linalg.eigvals(dense).imag).max() > 0.01
+        log_det = _log_det_function(w)
+        for rho in (-0.95, -0.5, 0.0, 0.3, 0.7, 0.95):
+            sign, expected = np.linalg.slogdet(np.eye(w.n) - rho * dense)
+            assert sign == 1.0
+            assert log_det(rho) == pytest.approx(expected, rel=0, abs=1e-10)
+
+    def test_estimate_matches_sparse_lu(self, monkeypatch):
+        w = independent_rows(10, 0)
+        y = generate_sar(w, SarSpec(rho=0.5, seed=3))
+        by_spectrum = estimate_rho(w, y)
+        del w.__dict__["_sar_eigenvalues"]
+        sparse_path(monkeypatch)
+        assert abs(estimate_rho(w, y) - by_spectrum) <= 1e-6
+
+    def test_stability_interval_from_real_eigenvalues(self, monkeypatch):
+        # the one real eigenvalue is 2, so only rho = 1/2 makes I - rho W
+        # singular; the real parts reach 2 cos(10 pi / 11) = -1.92
+        w = ring(11, forward=1.8, backward=0.2)
+        lam = w_eigenvalues(w)
+        assert np.count_nonzero(lam.imag == 0) == 1
+        assert lam.real.min() < -1.9
+        assert _eigenvalue_range(w) == pytest.approx((2.0, 2.0), rel=0, abs=1e-12)
+        log_det = _log_det_function(w)
+        for rho in (-0.99, -0.7, 0.2, 0.49):
+            expected = np.linalg.slogdet(np.eye(w.n) - rho * w.sparse.toarray())[1]
+            assert log_det(rho) == pytest.approx(expected, rel=0, abs=1e-10)
+        assert log_det(0.5) == log_det(0.7) == -math.inf
+        y = generate_sar(w, SarSpec(rho=-0.9, seed=0))
+        eps = np.random.default_rng(0).standard_normal(w.n)
+        assert np.allclose(y.values + 0.9 * (w.sparse @ y.values), eps, atol=1e-12)
+        with pytest.raises(NumericalError, match="stability interval"):
+            generate_sar(w, SarSpec(rho=0.5, seed=0))
+        # Arnoldi's six leftmost eigenvalues are all complex: their real parts
+        # stand in, and bound the interval from inside
+        sparse_path(monkeypatch)
+        lo, hi = _eigenvalue_range(ring(11, forward=1.8, backward=0.2))
+        assert (lo, hi) == pytest.approx((lam.real.min(), 2.0), rel=1e-10)
+
+    def test_arnoldi_interval_from_real_eigenvalues(self, monkeypatch):
+        # 60 areas on a cycle, each joined to the two nearest on either side,
+        # with cubed uniform weights; seed 33 puts a complex pair (real part
+        # -0.760) left of every real eigenvalue
+        rng = np.random.default_rng(33)
+        neighbors = tuple(tuple(sorted({(i + d) % 60 for d in (-2, -1, 1, 2)})) for i in range(60))
+        weights = tuple(tuple(rng.uniform(0.0, 1.0, 4) ** 3) for _ in neighbors)
+        w = SpatialWeights(n=60, neighbors=neighbors, weights=weights, standardized=False)
+        lam = scipy.linalg.eigvals(w.sparse.toarray())
+        real = lam.real[lam.imag == 0]
+        assert lam.real.min() < real.min() - 0.1
+        sparse_path(monkeypatch)
+        assert _eigenvalue_range(w) == pytest.approx((real.min(), real.max()), rel=1e-10)
+
+
 def shuffled_rook(side, standardized):
     """A side x side rook lattice with its areas in a seeded random order.
 

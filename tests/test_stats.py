@@ -145,7 +145,7 @@ class TestWelch:
         for _ in range(1000):
             a = rng.standard_normal(50)
             b = rng.standard_normal(50)
-            rejections += welch_t_test(a, b).rejected_at[0.05]
+            rejections += welch_t_test(a, b).rejects(0.05)
         assert 0.03 <= rejections / 1000 <= 0.08
 
     def test_separated_means_detected(self):
@@ -208,7 +208,7 @@ class TestLevene:
         for _ in range(1000):
             a = rng.standard_normal(100)
             b = rng.standard_normal(100)
-            rejections += levene_test(a, b).rejected_at[0.05]
+            rejections += levene_test(a, b).rejects(0.05)
         assert 0.03 <= rejections / 1000 <= 0.08
 
     def test_detects_variance_ratio_sixteen(self):
@@ -244,7 +244,7 @@ class TestLeveneInfiniteF:
             out = levene_test(a, b, center=center)
         assert out.statistic == math.inf
         assert out.p_value == 0.0
-        assert all(out.rejected_at.values())
+        assert all(out.rejects(alpha) for alpha in (0.01, 0.05, 0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ref = scipy.stats.levene(a, b, center=center)
@@ -321,12 +321,12 @@ class TestClosedFormAgainstScipy:
 
 
 def outcome_or_error(test, *args):
-    """A test's (statistic, p, decisions), or the type and message it raised, as text."""
+    """A test's (statistic, p), or the type and message it raised, as text."""
     try:
         out = test(*args)
     except (DegenerateSampleError, InsufficientDataError) as exc:
         return repr((type(exc).__name__, str(exc)))
-    return repr((out.statistic, out.p_value, out.rejected_at))
+    return repr((out.statistic, out.p_value))
 
 
 class TestPerSampleTerms:
@@ -426,8 +426,3 @@ class TestPseudoP:
     def test_empty_null(self):
         with pytest.raises(InsufficientDataError):
             pseudo_p([], 0.5)
-
-    def test_rejected_at_consistency(self):
-        out = welch_t_test([1.0, 2.0, 3.0], [9.0, 10.0, 11.0])
-        for alpha, flag in out.rejected_at.items():
-            assert flag == (out.p_value < alpha)
