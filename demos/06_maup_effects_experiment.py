@@ -4,8 +4,10 @@ Each (rho, k) cell aggregates simulated fields 30 times and records the
 relative change in mean and variance plus two-sample test rejections
 against the original variable. The classic picture emerges: the mean is
 untouched everywhere, while the variance effect fades as either k or rho
-grows. Rho isolation mode reuses one value multiset across rho levels, so
-the gradient is attributable to spatial structure alone.
+grows. Rho isolation mode reuses one value multiset and one set of
+partitions across rho levels (region seeds are keyed on instance, k and
+repeat, not on rho), so the gradient is attributable to spatial structure
+alone.
 """
 
 import numpy as np

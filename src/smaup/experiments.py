@@ -1,12 +1,12 @@
 """Monte Carlo harnesses: aggregation-effect sweeps, simulated null
 distributions, and power/size estimation for the sensitivity test.
 
-Every harness repeats one step, implemented once in :func:`_region_means`:
-aggregate a field into k random contiguous regions and take the region
-means, r times. The region seed of repeat ``rep`` is
-``derive_seed(*seed_path, rep)``, derived only when that repeat is reached.
-It shares ``random_regions``'s growth loop but skips its validation, and
-its callers take the field's share of Welch and Levene once per field.
+Every harness repeats one step, implemented once in :func:`_partitions`:
+grow r random partitions of the areas into k contiguous regions. The region
+seed of repeat ``rep`` is ``derive_seed(*seed_path, rep)``, derived only
+when that repeat is reached. It shares ``random_regions``'s growth loop but
+skips its validation. Its callers take each field's region means by
+``bincount`` and the field's share of Welch and Levene once per field.
 
 The null, power and size harnesses share one instance recipe. A SAR field is
 drawn on a square rook lattice, a region count k is drawn uniformly with
@@ -21,14 +21,22 @@ decisions over the kernel's r aggregations:
 The filter stops at the first aggregation that decides it. On a failure only
 (k, aggregations) are redrawn; the SAR field is kept. After
 ``_K_REDRAWS_PER_FIELD`` consecutive failures the field itself is redrawn,
-which prevents livelock on pathological fields. The effects harness feeds the
-same kernel's means to the Welch and Levene tests for every (rho, k) cell.
+which prevents livelock on pathological fields.
+
+The effects harness draws every rho field of an instance first. Then, for
+each k, it grows the instance's r partitions once and aggregates every rho
+field on each of them, feeding the means to the Welch and Levene tests. A
+partition depends only on (W, k, seed), so its seed path is (master seed,
+N index, instance, role, k, repeat): a cell's partitions do not depend on
+the other rho levels or ks of the run. Sharing them across rho levels is a
+common-random-numbers design; each cell's own distribution is unchanged.
 
 Every harness runs its instances through one fan-out, :func:`_fan_out`: one
 task per (cell, instance), run serially or on a process pool, results handed
 back per cell in instance order. Every random draw is derived from the master
-seed and the (cell, instance, attempt, repeat) path, so results are
-bitwise-identical regardless of worker count or scheduling order.
+seed and a path of integers (for the null, power and size harnesses: cell,
+instance, attempt, k draw and repeat), so results are bitwise-identical
+regardless of worker count or scheduling order.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +54,6 @@ from .critical_values import RHO_GRID, critical_value
 from .errors import CorruptPartitionError, ExperimentStallError, InvalidDimensionError, InvalidKError
 from .regionalize import _check_growable, _grow
 from .sar import (
-    AreaVariable,
     SarSpec,
     estimate_rho,
     generate_sar,
@@ -85,6 +91,11 @@ _ROLE_KDRAW = 1
 _ROLE_REGIONS = 2
 _ROLE_BASE_FIELD = 3
 _ROLE_TARGET_RHO = 4
+
+# Version of the effects harness's random streams, recorded in its metadata.
+# 2: the region seed path is (master seed, N index, instance, role, k, repeat),
+# so one set of partitions per (instance, k) serves every rho level.
+_EFFECTS_STREAM_VERSION = 2
 
 # Effects recipe in rho-isolation mode: the base field's rho, and the window
 # and attempt budget of the rank-matching permutation toward every other rho.
@@ -176,12 +187,13 @@ class NullDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _region_means(y: AreaVariable, w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
-    """Yield the region means of r random aggregations of ``y`` into k regions.
+def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
+    """Yield the labels and region sizes of r random partitions of ``w`` into k regions.
 
     Repeat ``rep`` grows its regions from ``derive_seed(*seed_path, rep)``,
-    derived when the consumer asks for that repeat. The means are those of
-    ``aggregate_mean(y, random_regions(w, k, seed))``, bit for bit.
+    derived when the consumer asks for that repeat. The labels are those of
+    ``random_regions(w, k, seed)``, and ``np.bincount(labels, y.values) / sizes``
+    are the region means of ``aggregate_mean``, bit for bit.
     """
     _check_growable(w, k)
     for rep in range(r):
@@ -189,7 +201,7 @@ def _region_means(y: AreaVariable, w: SpatialWeights, k: int, seed_path: tuple[i
         sizes = np.bincount(labels)
         if sizes.size != k or sizes.min() < 1:
             raise CorruptPartitionError(f"grown partition does not use all {k} region labels")
-        yield np.bincount(labels, y.values) / sizes
+        yield labels, sizes
 
 
 def _accepted_instance(
@@ -231,8 +243,9 @@ def _accepted_instance(
             k = int(k_rng.integers(lo, hi + 1))
             seed_path = (master_seed, *path_prefix, _ROLE_REGIONS, attempt, k_try)
             if all(
-                _levene(*y_terms, *_levene_terms(_sample(means))).rejects(_FILTER_ALPHA) == want_rejection
-                for means in _region_means(y, w, k, seed_path, r)
+                _levene(*y_terms, *_levene_terms(_sample(np.bincount(labels, y.values) / sizes)))
+                .rejects(_FILTER_ALPHA) == want_rejection
+                for labels, sizes in _partitions(w, k, seed_path, r)
             ):
                 rho_hat = estimate_rho(w, y)
                 return {"rho_hat": rho_hat, "k": k, "trials": trials, "attempts": attempt + 1}
@@ -393,7 +406,11 @@ class EffectsConfig:
     rho = 0.9 and derives every other autocorrelation level by rank-matching
     permutation (estimated rho within 0.5 of the target, at most 200
     attempts), so all rho levels of an instance share one value multiset and
-    the effect of rho is isolated from sampling noise.
+    the effect of rho is isolated from sampling noise. In either mode the rho
+    levels of an instance also share one set of r partitions per k: region
+    seeds derive from (master_seed, N index, instance, role, k, repeat),
+    with k keyed by value, so a cell does not depend on which other rho
+    levels or ks the run holds.
     """
 
     k_lists: dict[int, tuple[int, ...]]
@@ -496,12 +513,16 @@ class EffectsSummary:
 
 def _effects_instance_task(args) -> dict:
     """One instance of the effects recipe on one lattice, across its rho and k
-    cells: ``{(rho, k): (rcm_bar, rcv_bar, t_rejections, levene_rejections)}``."""
+    cells: ``{(rho, k): (rcm_bar, rcv_bar, t_rejections, levene_rejections)}``.
+
+    Every rho field of the instance is drawn first; then, for each k, the r
+    partitions are grown once and every field is aggregated on each of them.
+    """
     config, n_index, w, ks, instance = args
     master_seed = config.master_seed
-    out: dict[tuple[float, int], tuple] = {}
     base_seed = derive_seed(master_seed, n_index, instance, _ROLE_BASE_FIELD)
     base = generate_sar(w, SarSpec(rho=_BASE_RHO, seed=base_seed)) if config.rho_isolation else None
+    fields = []
     for rho_index, rho in enumerate(config.rho_values):
         if not config.rho_isolation:
             seed = derive_seed(master_seed, n_index, instance, _ROLE_SAR, rho_index)
@@ -512,21 +533,28 @@ def _effects_instance_task(args) -> dict:
             seed = derive_seed(master_seed, n_index, instance, _ROLE_TARGET_RHO, rho_index)
             y = generate_with_target_rho(w, base, target=rho, window=_TARGET_WINDOW,
                                          max_retries=_TARGET_MAX_RETRIES, seed=seed)
-        mu_o = float(y.values.mean())
-        var_o = float(y.values.var(ddof=1))
-        y_welch, y_levene = _welch_terms(y.values), _levene_terms(y.values)
-        for k_index, k in enumerate(ks):
-            rcms, rcvs = [], []
-            t_rej = lev_rej = 0
-            seed_path = (master_seed, n_index, instance, _ROLE_REGIONS, rho_index, k_index)
-            for means in _region_means(y, w, k, seed_path, config.r):
+        fields.append((y.values, float(y.values.mean()), float(y.values.var(ddof=1)),
+                       _welch_terms(y.values), _levene_terms(y.values)))
+    out: dict[tuple[float, int], tuple] = {}
+    for k in ks:
+        repeats = [[] for _ in fields]
+        seed_path = (master_seed, n_index, instance, _ROLE_REGIONS, k)
+        for labels, sizes in _partitions(w, k, seed_path, config.r):
+            for (values, mu_o, var_o, y_welch, y_levene), tally in zip(fields, repeats):
+                means = np.bincount(labels, values) / sizes
+                means_welch = _welch_terms(means)
+                _, mean_ag, ss_ag = means_welch
                 # zero-mean SAR fields make the signed-divisor relative change
                 # explode; divide by |mean| and flag it in run metadata
-                rcms.append(abs(mu_o - float(means.mean())) / abs(mu_o))
-                rcvs.append(abs(var_o - float(means.var(ddof=1))) / var_o)
-                t_rej += _welch(*y_welch, *_welch_terms(means)).rejects(_FILTER_ALPHA)
-                lev_rej += _levene(*y_levene, *_levene_terms(means)).rejects(_FILTER_ALPHA)
-            out[(rho, k)] = (mean_over_repeats(rcms), mean_over_repeats(rcvs), t_rej, lev_rej)
+                tally.append((
+                    abs(mu_o - mean_ag) / abs(mu_o),
+                    abs(var_o - ss_ag / (k - 1)) / var_o,
+                    _welch(*y_welch, *means_welch).rejects(_FILTER_ALPHA),
+                    _levene(*y_levene, *_levene_terms(means)).rejects(_FILTER_ALPHA),
+                ))
+        for rho, tally in zip(config.rho_values, repeats):
+            rcms, rcvs, t_rej, lev_rej = zip(*tally)
+            out[(rho, k)] = (mean_over_repeats(rcms), mean_over_repeats(rcvs), sum(t_rej), sum(lev_rej))
     return out
 
 
@@ -581,6 +609,7 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
         master_seed=config.master_seed,
         rho_isolation=config.rho_isolation,
         metadata={
+            "stream_version": _EFFECTS_STREAM_VERSION,
             "rcm_divisor": "abs(mean)",
             "rcm_divisor_note": (
                 "relative change in mean divides by |mean| because simulated "
@@ -602,6 +631,18 @@ def _instance_task(args) -> dict:
     return _accepted_instance(w, rho, master_seed, (cell, j), mode, r)
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: only a run with more
+    than one worker needs ``concurrent.futures``. The first binding in the
+    module namespace stays, so a pool class set on the module is the one
+    ``_fan_out`` uses."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return globals().setdefault(name, ProcessPoolExecutor)
+
+
 def _fan_out(task, cells: list[tuple], instances: int, workers: int) -> list[list]:
     """Run ``task((*cell, j))`` for every cell and every instance j < ``instances``.
 
@@ -614,6 +655,6 @@ def _fan_out(task, cells: list[tuple], instances: int, workers: int) -> list[lis
     if workers <= 1 or len(tasks) <= 1:
         results = [task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with __getattr__("ProcessPoolExecutor")(max_workers=workers) as pool:
             results = list(pool.map(task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
     return [results[i:i + instances] for i in range(0, len(results), instances)]

@@ -5,7 +5,7 @@ without replacement, then regions repeatedly claim a random unassigned
 neighbor until every area is assigned. Each region is contiguous by
 construction. Aggregation uses the unweighted mean of member areas. One
 growth loop serves :func:`random_regions` and, without its validation, the
-Monte Carlo kernel ``experiments._region_means``; both keep its draw contract.
+Monte Carlo kernel ``experiments._partitions``; both keep its draw contract.
 """
 
 from __future__ import annotations

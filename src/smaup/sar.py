@@ -216,19 +216,15 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     return lam
 
 
-def _real_range(lam: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest real eigenvalue among ``lam``.
+def _real_range(lam: np.ndarray) -> tuple[float, float] | None:
+    """Smallest and largest real eigenvalue among ``lam``, or None if it holds none.
 
     For real rho, only a real eigenvalue lambda makes (I - rho W) singular,
     at rho = 1/lambda, so the stability interval comes from the real
-    eigenvalues alone (LeSage & Pace 2009, sec. 4.1). When ``lam`` holds no
-    real eigenvalue its real parts stand in; they bound the interval from
-    inside.
+    eigenvalues alone (LeSage & Pace 2009, sec. 4.1).
     """
     real = lam.real[lam.imag == 0]
-    if not real.size:
-        real = lam.real
-    return float(real.min()), float(real.max())
+    return (float(real.min()), float(real.max())) if real.size else None
 
 
 def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
@@ -240,27 +236,31 @@ def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
     every non-standardized W the constructors build, else Arnoldi (``eigs``)
     for the ``_ARNOLDI_K`` eigenvalues of smallest and of largest real part.
     When those hold a real eigenvalue, the most extreme real one among them is
-    W's. The pair is cached on the weights object like the spectrum.
+    W's, and the pair is cached on the weights object like the spectrum. When
+    one side holds none, the pair is read off W's full spectrum. A W with no
+    real eigenvalue at all (possible only with negative weights) makes no
+    real rho singular and gets (0, 0), which bounds nothing.
     """
-    if _has_spectrum(w):
-        return _real_range(w_eigenvalues(w))
-    cached = w.__dict__.get("_sar_eigenvalue_range")
-    if cached is not None:
-        return cached
-    import scipy.sparse.linalg as spla
+    if not _has_spectrum(w):
+        cached = w.__dict__.get("_sar_eigenvalue_range")
+        if cached is not None:
+            return cached
+        import scipy.sparse.linalg as spla
 
-    a = w.sparse
-    if (a != a.T).nnz:
-        solver, ends, k = spla.eigs, ("SR", "LR"), min(_ARNOLDI_K, w.n - 2)
-    else:
-        solver, ends, k = spla.eigsh, ("SA", "LA"), 1
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
-    (lo, _), (_, hi) = (
-        _real_range(solver(a, k=k, which=which, v0=v0, return_eigenvectors=False))
-        for which in ends
-    )
-    w.__dict__["_sar_eigenvalue_range"] = (lo, hi)
-    return lo, hi
+        a = w.sparse
+        if (a != a.T).nnz:
+            solver, ends, k = spla.eigs, ("SR", "LR"), min(_ARNOLDI_K, w.n - 2)
+        else:
+            solver, ends, k = spla.eigsh, ("SA", "LA"), 1
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
+        low, high = (
+            _real_range(solver(a, k=k, which=which, v0=v0, return_eigenvectors=False))
+            for which in ends
+        )
+        if low is not None and high is not None:
+            w.__dict__["_sar_eigenvalue_range"] = (low[0], high[1])
+            return low[0], high[1]
+    return _real_range(w_eigenvalues(w)) or (0.0, 0.0)
 
 
 def _stable(rho: float, lo: float, hi: float) -> bool:

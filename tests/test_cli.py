@@ -434,9 +434,9 @@ ARTIFACTS = {
     "size-csv": (["size", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
         "o.csv": "50e650ae52600f9583ec526d0c5a7558b314664b77ec0bb0b75a9daf5a95fe28"}),
     "effects-json": ([*EFFECTS, "--out", "o.json"], {
-        "o.json": "635a8b4b2c88671f979e5651de5617a7f9a0d9089247da2c7dade00d8fd8a984"}),
+        "o.json": "283a7db8a2fd5c44df4b9d2d8b6b03fc07abe8a941ab2ed0b52af6123a4e14c7"}),
     "effects-csv": ([*EFFECTS, "--format", "csv", "--out", "o.csv"], {
-        "o.csv": "0588450f6e48ca832fbfddd2227cf0b817517076de5d35378abc7cac8333c3df"}),
+        "o.csv": "83151e7fe42ad47b8167e52576302f5212b91e84670399fd6fa784edfb6fc163"}),
     "export-critical-values": (["export-critical-values", "--out", "cv.csv"], {
         "cv.csv": "4a8d87cbd1dd59bf3a02ba75ccf3a3a99efb77e8fa362cc48f9610df24d189e5"}),
 }

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from smaup import (
-    AreaVariable,
     ContiguityError,
     CorruptPartitionError,
     EffectsConfig,
@@ -28,7 +27,7 @@ from smaup import (
 from smaup import experiments
 from smaup.experiments import (
     _accepted_instance,
-    _region_means,
+    _partitions,
 )
 from smaup.regionalize import aggregate_mean, random_regions
 from smaup.sar import SarSpec
@@ -91,8 +90,8 @@ class TestAcceptanceRecipe:
             y = generate_sar(w100, SarSpec(rho=0.0, seed=seed))
             k = 11 + seed % 88
             # repeat seeds derive_seed(seed, rep), rep < 5
-            rejections = [levene_test(y.values, means).rejects(0.05)
-                          for means in _region_means(y, w100, k, (seed,), 5)]
+            rejections = [levene_test(y.values, np.bincount(labels, y.values) / sizes).rejects(0.05)
+                          for labels, sizes in _partitions(w100, k, (seed,), 5)]
             assert len(rejections) == 5
             null_pass = not any(rejections)
             power_pass = all(rejections)
@@ -103,11 +102,14 @@ class TestAcceptanceRecipe:
     def test_kernel_pins_region_stream(self, w100):
         y = generate_sar(w100, SarSpec(rho=0.3, seed=11))
         path = (11, 0, 3, experiments._ROLE_REGIONS, 2, 7)
-        got = list(_region_means(y, w100, 23, path, 6))
+        got = list(_partitions(w100, 23, path, 6))
         assert len(got) == 6
-        for rep, means in enumerate(got):
-            eager = aggregate_mean(y, random_regions(w100, 23, seed=derive_seed(*path, rep)))
-            assert np.array_equal(means, eager.region_means)
+        for rep, (labels, sizes) in enumerate(got):
+            regions = random_regions(w100, 23, seed=derive_seed(*path, rep))
+            eager = aggregate_mean(y, regions)
+            assert np.array_equal(labels, regions.assignment)
+            assert np.array_equal(sizes, eager.region_sizes)
+            assert np.array_equal(np.bincount(labels, y.values) / sizes, eager.region_means)
 
     def test_kernel_derives_seeds_on_demand(self, w100, monkeypatch):
         derived = []
@@ -117,8 +119,7 @@ class TestAcceptanceRecipe:
             return derive_seed(*path)
 
         monkeypatch.setattr(experiments, "derive_seed", counting)
-        y = generate_sar(w100, SarSpec(rho=0.0, seed=1))
-        kernel = _region_means(y, w100, 20, (1, 2), 30)
+        kernel = _partitions(w100, 20, (1, 2), 30)
         next(kernel)
         next(kernel)
         assert derived == [(1, 2, 0), (1, 2, 1)]
@@ -126,19 +127,16 @@ class TestAcceptanceRecipe:
     def test_kernel_guards_the_partition(self, w100, monkeypatch):
         # a grower that leaves a label unused must not reach Levene or Welch
         monkeypatch.setattr(experiments, "_grow", lambda neighbors, n, k, seed: [0] * (n - 1) + [2])
-        y = generate_sar(w100, SarSpec(rho=0.0, seed=1))
         with pytest.raises(CorruptPartitionError):
-            next(_region_means(y, w100, 3, (1,), 1))
+            next(_partitions(w100, 3, (1,), 1))
 
     def test_kernel_checks_k_and_connectivity(self, w100):
-        y = generate_sar(w100, SarSpec(rho=0.0, seed=1))
         for k in (0, 101):
             with pytest.raises(InvalidKError):
-                next(_region_means(y, w100, k, (1,), 1))
+                next(_partitions(w100, k, (1,), 1))
         split = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2\n")
-        y4 = AreaVariable(values=np.arange(4.0), weights=split)
         with pytest.raises(ContiguityError):
-            next(_region_means(y4, split, 2, (1,), 1))
+            next(_partitions(split, 2, (1,), 1))
 
     @pytest.mark.parametrize("prefix, mode, k, trials, rho_hat", [
         ((0, 0), "never_reject", 61, 6, -0.13540828322856058),
@@ -341,6 +339,32 @@ class TestEffects:
         assert not summary.rho_isolation
         assert len(summary.cells) == 1
 
+    def test_cell_independent_of_other_rho_and_k(self):
+        # a cell's partitions are keyed on (instance, k) only, and at the base
+        # rho its field is the base field, so the other cells do not move it
+        def cell(rho_values, ks):
+            config = EffectsConfig(k_lists={100: ks}, rho_values=rho_values,
+                                   instances=2, r=4, master_seed=23)
+            return effects_experiment(config).cell(100, 0.9, 53)
+
+        assert cell((-0.9, 0.0, 0.9), (12, 53, 90)) == cell((0.9,), (53,))
+
+    @pytest.mark.parametrize("rho_values", [(0.9,), (-0.9, 0.0, 0.9)])
+    def test_partitions_grown_once_per_instance_and_k(self, monkeypatch, rho_values):
+        # instances x |ks| x r growths, whatever the number of rho levels
+        grow, grown = experiments._grow, []
+
+        def counting(neighbors, n, k, seed):
+            grown.append(k)
+            return grow(neighbors, n, k, seed)
+
+        monkeypatch.setattr(experiments, "_grow", counting)
+        config = EffectsConfig(k_lists={100: (12, 53, 90)}, rho_values=rho_values,
+                               instances=2, r=3, master_seed=24)
+        summary = effects_experiment(config)
+        assert sorted(grown) == [12] * 6 + [53] * 6 + [90] * 6
+        assert summary.metadata["stream_version"] == 2
+
     def test_worker_independence(self):
         config = EffectsConfig(
             k_lists={100: (12, 90)}, rho_values=(0.0, 0.9),
@@ -367,7 +391,7 @@ def payload_sha256(result) -> str:
     ("effects", lambda: effects_experiment(EffectsConfig(
         k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
         master_seed=1)),
-     "9970da91cb6a30c71f8c3395c4dbf2974fd836abec5a59979b90bbe7f25771b3"),
+     "49672ca31dfe831758a2b0c1e2b867a0c50e6d6fb43e77850298810fd63df43b"),
 ])
 def test_payload_bytes_pinned(name, run, sha256):
     # any change of a random stream or of a reported figure moves these digests

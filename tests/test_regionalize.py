@@ -21,7 +21,7 @@ from smaup import (
     random_regions,
     validate_regionalization,
 )
-from smaup.experiments import _region_means
+from smaup.experiments import _partitions
 from smaup.regionalize import (
     _bounded_draws,
     _grow,
@@ -249,8 +249,9 @@ def assert_regions_connected_by_networkx(w, labels, k):
 
 
 class TestMonteCarloKernel:
-    """``experiments._region_means`` grows with ``_grow`` and takes means by
-    bincount, skipping the public path's validation; the figures match."""
+    """``experiments._partitions`` grows with ``_grow``, skipping the public
+    path's validation; its labels, and the means its callers take by
+    bincount, match the public path's."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1))
@@ -259,11 +260,13 @@ class TestMonteCarloKernel:
         values = np.random.default_rng(seed).standard_normal(w.n)
         y = AreaVariable(values=values, weights=w)
         path = (seed, k)
-        got = list(_region_means(y, w, k, path, 3))
+        got = list(_partitions(w, k, path, 3))
         assert len(got) == 3
-        for rep, means in enumerate(got):
-            public = aggregate_mean(y, random_regions(w, k, seed=derive_seed(*path, rep)))
-            assert np.array_equal(means, public.region_means)
+        for rep, (labels, sizes) in enumerate(got):
+            regions = random_regions(w, k, seed=derive_seed(*path, rep))
+            assert np.array_equal(labels, regions.assignment)
+            means = np.bincount(labels, y.values) / sizes
+            assert np.array_equal(means, aggregate_mean(y, regions).region_means)
         labels = _grow(w.neighbors, w.n, k, derive_seed(*path, 0))
         assert_regions_connected_by_networkx(w, labels, k)
 

@@ -297,7 +297,7 @@ class TestComplexSpectrum:
         sparse_path(monkeypatch)
         assert abs(estimate_rho(w, y) - by_spectrum) <= 1e-6
 
-    def test_stability_interval_from_real_eigenvalues(self, monkeypatch):
+    def test_stability_interval_from_real_eigenvalues(self):
         # the one real eigenvalue is 2, so only rho = 1/2 makes I - rho W
         # singular; the real parts reach 2 cos(10 pi / 11) = -1.92
         w = ring(11, forward=1.8, backward=0.2)
@@ -315,11 +315,27 @@ class TestComplexSpectrum:
         assert np.allclose(y.values + 0.9 * (w.sparse @ y.values), eps, atol=1e-12)
         with pytest.raises(NumericalError, match="stability interval"):
             generate_sar(w, SarSpec(rho=0.5, seed=0))
-        # Arnoldi's six leftmost eigenvalues are all complex: their real parts
-        # stand in, and bound the interval from inside
-        sparse_path(monkeypatch)
-        lo, hi = _eigenvalue_range(ring(11, forward=1.8, backward=0.2))
-        assert (lo, hi) == pytest.approx((lam.real.min(), 2.0), rel=1e-10)
+
+    def test_arnoldi_side_without_real_eigenvalue_reads_full_spectrum(self, monkeypatch):
+        # Arnoldi's six leftmost eigenvalues of the ring are all complex, with
+        # real parts down to -1.92; the one real eigenvalue is 2
+        monkeypatch.setattr(sar, "_SPARSE_MIN_N", 5)
+        w = ring(11, forward=1.8, backward=0.2)
+        assert _eigenvalue_range(w) == pytest.approx((2.0, 2.0), rel=0, abs=1e-12)
+        y = generate_sar(w, SarSpec(rho=-0.9, seed=0))
+        eps = np.random.default_rng(0).standard_normal(w.n)
+        assert np.allclose(y.values + 0.9 * (w.sparse @ y.values), eps, atol=1e-12)
+        with pytest.raises(NumericalError, match="stability interval"):
+            generate_sar(w, SarSpec(rho=0.5, seed=0))
+
+    def test_no_real_eigenvalue_bounds_no_rho(self):
+        # W = [[0, 1], [-1, 0]] has eigenvalues +-i: I - rho W is never singular
+        w = SpatialWeights(n=2, neighbors=((1,), (0,)), weights=((1.0,), (-1.0,)),
+                           standardized=False)
+        assert _eigenvalue_range(w) == (0.0, 0.0)
+        y = generate_sar(w, SarSpec(rho=0.9, seed=0))
+        eps = np.random.default_rng(0).standard_normal(w.n)
+        assert np.allclose(y.values - 0.9 * (w.sparse @ y.values), eps, atol=1e-12)
 
     def test_arnoldi_interval_from_real_eigenvalues(self, monkeypatch):
         # 60 areas on a cycle, each joined to the two nearest on either side,

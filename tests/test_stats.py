@@ -370,7 +370,10 @@ class TestPerSampleTerms:
 def test_scipy_loads_only_where_called(tmp_path, case):
     # scipy is imported by the functions that call it: importing the package,
     # or a command that never solves, estimates or tests, loads none of it,
-    # and `smaup test` (rho estimation, no two-sample test) not scipy.special
+    # and `smaup test` (rho estimation, no two-sample test) not scipy.special.
+    # The process pool is imported only by a multi-worker run: none of these
+    # loads concurrent.futures, except that scipy's own imports of
+    # numpy.testing load the package, without its process pool, for `test`
     squares = [[[c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]
                for r in range(3) for c in range(3)]
     geojson = tmp_path / "grid.geojson"
@@ -390,9 +393,10 @@ def test_scipy_loads_only_where_called(tmp_path, case):
         "test-command": "from smaup.cli import main; "
                         f"main(['test', '--values', {str(values)!r}, '--weights', {str(weights)!r}, '--k', '20'])",
     }
-    unloaded = "scipy.special" if case == "test-command" else "scipy"
+    unloaded = (("scipy.special", "concurrent.futures.process") if case == "test-command"
+                else ("scipy", "concurrent.futures"))
     code = (f"import sys\n{statements[case]}\n"
-            f"print(sorted(m for m in sys.modules if (m + '.').startswith({unloaded!r} + '.')))")
+            f"print(sorted(m for m in sys.modules if any((m + '.').startswith(u + '.') for u in {unloaded!r})))")
     src = str(Path(smaup.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
