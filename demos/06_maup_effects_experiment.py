@@ -5,9 +5,10 @@ relative change in mean and variance plus two-sample test rejections
 against the original variable. The classic picture emerges: the mean is
 untouched everywhere, while the variance effect fades as either k or rho
 grows. Rho isolation mode reuses one value multiset and one set of
-partitions across rho levels (region seeds are keyed on instance, k and
-repeat, not on rho), so the gradient is attributable to spatial structure
-alone.
+partitions across rho levels, so the gradient is attributable to spatial
+structure alone. Every seed is keyed on what it draws (instance, role, k,
+repeat), never on a cell's place in the run, so each cell comes out the same
+whatever other N, rho or k the run holds.
 """
 
 import numpy as np

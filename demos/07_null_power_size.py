@@ -4,7 +4,9 @@ The null distribution of the statistic for an (N, rho) pair comes from an
 acceptance-sampled Monte Carlo: keep an instance only if aggregation left
 its variance statistically intact (Levene never rejects over 30 random
 aggregations). The sorted vector then prices any observed M as a pseudo-p.
-Power and size flip the acceptance filter.
+Size keeps the null's filter and draws the null's own instances for the same
+seed, so it is the share of the null's values above the table's critical
+value. Power flips the filter: Levene must reject every aggregation.
 """
 
 from smaup import (

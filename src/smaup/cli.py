@@ -90,12 +90,17 @@ def _resolve_seed(args) -> int:
 # Execution details that must not change result bytes (outputs stay identical
 # across worker counts and output destinations).
 _NON_CONFIG_ARGS = {"func", "out", "json", "regions_out", "workers"}
+# Input files, hashed by content: the stamp must not depend on how a path is spelled.
+_INPUT_FILE_ARGS = ("adjacency", "geojson", "null", "values", "weights")
 
 
 def _config_hash(args) -> str:
     payload = {k: v for k, v in sorted(vars(args).items())
                if k not in _NON_CONFIG_ARGS
                and isinstance(v, (int, float, str, bool, list, tuple, type(None)))}
+    for name in _INPUT_FILE_ARGS:
+        if payload.get(name):
+            payload[name] = hashlib.sha256(Path(payload[name]).read_bytes()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -439,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=10)
     p.add_argument("--r", type=int, default=30)
     p.add_argument("--no-isolation", action="store_true",
-                   help="draw independent SAR fields per rho instead of permuting a shared base")
+                   help="solve each rho's SAR field from the instance's shared innovations "
+                        "instead of permuting a shared base")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", metavar="FILE")
     _add_seed(p)

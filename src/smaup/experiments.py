@@ -25,25 +25,27 @@ which prevents livelock on pathological fields.
 
 The effects harness draws every rho field of an instance first. Then, for
 each k, it grows the instance's r partitions once and aggregates every rho
-field on each of them, feeding the means to the Welch and Levene tests. A
-partition depends only on (W, k, seed), so its seed path is (master seed,
-N index, instance, role, k, repeat): a cell's partitions do not depend on
-the other rho levels or ks of the run. Sharing them across rho levels is a
-common-random-numbers design; each cell's own distribution is unchanged.
+field on each of them, feeding the means to the Welch and Levene tests.
+
+Every random draw derives from the master seed and a seed path that names
+what the draw is, never where its cell sits in the run: (master seed,
+[recipe tag,] instance, role, counters within the instance). Null, power and
+size key instance j on (recipe tag, j), tag 0 never-reject and 1
+always-reject, so size prices the null's own instances; effects keys its
+draws on (instance, role[, k, repeat]). The cells of a run share their
+instances' seeds (common random numbers, Glasserman & Yao 1992): no cell
+depends on the others, and each cell's own distribution is unchanged.
 
 Every harness runs its instances through one fan-out, :func:`_fan_out`: one
 task per (cell, instance), run serially or on a process pool, results handed
-back per cell in instance order. Every random draw is derived from the master
-seed and a path of integers (for the null, power and size harnesses: cell,
-instance, attempt, k draw and repeat), so results are bitwise-identical
-regardless of worker count or scheduling order.
+back per cell in instance order, so results are bitwise-identical regardless
+of worker count or scheduling order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +94,13 @@ _ROLE_REGIONS = 2
 _ROLE_BASE_FIELD = 3
 _ROLE_TARGET_RHO = 4
 
-# Version of the effects harness's random streams, recorded in its metadata.
-# 2: the region seed path is (master seed, N index, instance, role, k, repeat),
-# so one set of partitions per (instance, k) serves every rho level.
-_EFFECTS_STREAM_VERSION = 2
+# Seed-path tag of each instance recipe of the null, power and size harnesses.
+_RECIPE_TAGS = {"never_reject": 0, "always_reject": 1}
+
+# Version of the harnesses' random streams, recorded in the power/size and
+# effects artifacts. 2: one set of partitions per (instance, k) serves every
+# rho level. 3: no seed path names a cell's place in the run (module docstring).
+_STREAM_VERSION = 3
 
 # Effects recipe in rho-isolation mode: the base field's rho, and the window
 # and attempt budget of the rank-matching permutation toward every other rho.
@@ -273,7 +278,7 @@ def generate_null(
         raise ValueError(f"r must be >= 1, got {r}")
     w = w_or_n if isinstance(w_or_n, SpatialWeights) else lattice_for_area_count(int(w_or_n))
     w_eigenvalues(w)  # cached once, before fan-out: every replicate estimates rho on w
-    cell = (w, rho, master_seed, "never_reject", r, 0)
+    cell = (w, rho, master_seed, "never_reject", r)
     (results,) = _fan_out(_instance_task, [cell], replicates, workers)
     return NullDistribution(
         n=w.n,
@@ -313,6 +318,7 @@ class PowerSizeReport:
             "alpha": self.alpha,
             "instances": self.instances,
             "seed": self.master_seed,
+            "stream_version": _STREAM_VERSION,
             "cells": list(self.cells),
         }
 
@@ -345,7 +351,7 @@ def _rejection_experiment(
     for w in lattices.values():
         w_eigenvalues(w)  # cached once: every instance estimates rho on its lattice
     pairs = [(n, rho) for n in n_values for rho in rho_values]
-    cells = [(lattices[n], rho, master_seed, mode, r, ci + 1) for ci, (n, rho) in enumerate(pairs)]
+    cells = [(lattices[n], rho, master_seed, mode, r) for n, rho in pairs]
     report_cells = []
     for (n, rho), results in zip(pairs, _fan_out(_instance_task, cells, instances, workers)):
         rejections = 0
@@ -406,11 +412,11 @@ class EffectsConfig:
     rho = 0.9 and derives every other autocorrelation level by rank-matching
     permutation (estimated rho within 0.5 of the target, at most 200
     attempts), so all rho levels of an instance share one value multiset and
-    the effect of rho is isolated from sampling noise. In either mode the rho
-    levels of an instance also share one set of r partitions per k: region
-    seeds derive from (master_seed, N index, instance, role, k, repeat),
-    with k keyed by value, so a cell does not depend on which other rho
-    levels or ks the run holds.
+    the effect of rho is isolated from sampling noise; without it, every rho
+    level solves its field from the instance's one set of innovations. In
+    either mode the rho levels of an instance share one set of r partitions
+    per k, and no seed path names an N, rho or k position, so a cell does not
+    depend on the other cells of the run. Every k must lie in [2, N].
     """
 
     k_lists: dict[int, tuple[int, ...]]
@@ -421,11 +427,13 @@ class EffectsConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not self.k_lists or not all(self.k_lists.values()):
+            raise InvalidKError(f"every N needs at least one k, got {self.k_lists}")
         for n, ks in self.k_lists.items():
             for k in ks:
-                if k < 2:
+                if not 2 <= k <= n:
                     raise InvalidKError(
-                        f"cell (N={n}, k={k}): k must be >= 2 (two-sample tests need 2 regions)"
+                        f"cell (N={n}, k={k}): k must lie in [2, N] (two-sample tests need 2 regions)"
                     )
         if self.r < 1:
             raise ValueError("r must be >= 1")
@@ -517,20 +525,22 @@ def _effects_instance_task(args) -> dict:
 
     Every rho field of the instance is drawn first; then, for each k, the r
     partitions are grown once and every field is aggregated on each of them.
+    Its seed paths, (master seed, instance, role[, k, repeat]), are the same
+    on every lattice and at every rho level.
     """
-    config, n_index, w, ks, instance = args
+    config, w, ks, instance = args
     master_seed = config.master_seed
-    base_seed = derive_seed(master_seed, n_index, instance, _ROLE_BASE_FIELD)
+    base_seed = derive_seed(master_seed, instance, _ROLE_BASE_FIELD)
     base = generate_sar(w, SarSpec(rho=_BASE_RHO, seed=base_seed)) if config.rho_isolation else None
     fields = []
-    for rho_index, rho in enumerate(config.rho_values):
+    for rho in config.rho_values:
         if not config.rho_isolation:
-            seed = derive_seed(master_seed, n_index, instance, _ROLE_SAR, rho_index)
+            seed = derive_seed(master_seed, instance, _ROLE_SAR)
             y = generate_sar(w, SarSpec(rho=rho, seed=seed))
         elif rho == _BASE_RHO:
             y = base
         else:
-            seed = derive_seed(master_seed, n_index, instance, _ROLE_TARGET_RHO, rho_index)
+            seed = derive_seed(master_seed, instance, _ROLE_TARGET_RHO)
             y = generate_with_target_rho(w, base, target=rho, window=_TARGET_WINDOW,
                                          max_retries=_TARGET_MAX_RETRIES, seed=seed)
         fields.append((y.values, float(y.values.mean()), float(y.values.var(ddof=1)),
@@ -538,7 +548,7 @@ def _effects_instance_task(args) -> dict:
     out: dict[tuple[float, int], tuple] = {}
     for k in ks:
         repeats = [[] for _ in fields]
-        seed_path = (master_seed, n_index, instance, _ROLE_REGIONS, k)
+        seed_path = (master_seed, instance, _ROLE_REGIONS, k)
         for labels, sizes in _partitions(w, k, seed_path, config.r):
             for (values, mu_o, var_o, y_welch, y_levene), tally in zip(fields, repeats):
                 means = np.bincount(labels, values) / sizes
@@ -565,35 +575,19 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
     records the instance's repeat-averaged relative changes in mean and
     variance, and the pooled rejection proportions of the Welch-t and Levene
     tests against the original variable. Deterministic under the config's
-    master seed, independent of worker count.
-
-    Cells with k > N are skipped with a warning, and a lattice left without
-    cells is not simulated; the others keep their place in the sorted N list,
-    so their seed paths do not depend on which cells were skipped.
-
-    Raises
-    ------
-    InvalidKError
-        If no (N, k) cell is feasible.
+    master seed, independent of worker count, and the same for a cell
+    whatever other cells the config holds.
     """
     lattices = []
-    for n_index, n in enumerate(sorted(config.k_lists)):
+    for n in sorted(config.k_lists):
         w = lattice_for_area_count(n)
-        infeasible = [k for k in config.k_lists[n] if k > n]
-        if infeasible:
-            warnings.warn(f"skipping infeasible k values {infeasible} at N={n}", stacklevel=2)
-        ks = tuple(k for k in config.k_lists[n] if k <= n)
-        if not ks:
-            continue
         if config.rho_isolation:
             w_eigenvalues(w)  # cached once: rank-matching estimates rho on w again and again
-        lattices.append((config, n_index, w, ks))
-    if not lattices:
-        raise InvalidKError("no feasible (N, k) cell: every k exceeds its N")
+        lattices.append((config, w, config.k_lists[n]))
     per_lattice = _fan_out(_effects_instance_task, lattices, config.instances, workers)
     tests = config.instances * config.r
     cells = []
-    for (_, _, w, ks), results in zip(lattices, per_lattice):
+    for (_, w, ks), results in zip(lattices, per_lattice):
         for rho in config.rho_values:
             for k in ks:
                 rcm_bars, rcv_bars, t_rej, lev_rej = zip(*(res[(rho, k)] for res in results))
@@ -609,7 +603,7 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
         master_seed=config.master_seed,
         rho_isolation=config.rho_isolation,
         metadata={
-            "stream_version": _EFFECTS_STREAM_VERSION,
+            "stream_version": _STREAM_VERSION,
             "rcm_divisor": "abs(mean)",
             "rcm_divisor_note": (
                 "relative change in mean divides by |mean| because simulated "
@@ -626,9 +620,11 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
 
 
 def _instance_task(args) -> dict:
-    """Accepted instance j of null/power/size cell ``cell`` (the null is cell 0)."""
-    w, rho, master_seed, mode, r, cell, j = args
-    return _accepted_instance(w, rho, master_seed, (cell, j), mode, r)
+    """Accepted instance j of a null, power or size cell. Its seed path prefix
+    is (recipe tag, j), the same in every cell, so the null and size at one
+    seed draw the same instances."""
+    w, rho, master_seed, mode, r, j = args
+    return _accepted_instance(w, rho, master_seed, (_RECIPE_TAGS[mode], j), mode, r)
 
 
 def __getattr__(name: str):

@@ -19,9 +19,9 @@ sparse LU (Barry & Pace 1999; LeSage & Pace 2009, ch. 4) and sums
 log|diag U|, and no n x n array is built. One rho search computes a single
 COLAMD column ordering (Davis et al. 2004) and reuses it for every later
 factorisation, since the sparsity pattern does not change with rho. The same
-rule picks a dense or a sparse-LU SAR solve. A non-standardized W on the
-sparse side gets its stability interval from two Lanczos runs for its
-extreme eigenvalues.
+rule picks a dense or a sparse-LU SAR solve. A symmetric non-standardized W
+on the sparse side gets its stability interval from two Lanczos runs for its
+extreme eigenvalues, and any other W from its spectrum.
 
 scipy is imported inside the functions that call it, not at module level,
 so ``import smaup`` and the commands that never solve or factorise
@@ -66,10 +66,6 @@ __all__ = [
 # Carlo run reuses one spectrum for hundreds of estimates. A spectrum already
 # cached on the weights is used at any size (see ``w_eigenvalues``).
 _SPARSE_MIN_N = 1000
-
-# Arnoldi looks for W's extreme real eigenvalues among this many eigenvalues
-# of smallest and of largest real part (ARPACK's default count).
-_ARNOLDI_K = 6
 
 _RHO_SEARCH_LO = -0.999
 _RHO_SEARCH_HI = 0.999
@@ -230,36 +226,28 @@ def _real_range(lam: np.ndarray) -> tuple[float, float] | None:
 def _eigenvalue_range(w: SpatialWeights) -> tuple[float, float]:
     """Smallest and largest real eigenvalue of W (see ``_real_range``).
 
-    Below ``_SPARSE_MIN_N``, or when the spectrum is cached, they are read
-    off the spectrum. Otherwise two ARPACK runs from a fixed start vector find them, so the
-    pair is deterministic: Lanczos (``eigsh``) for a symmetric W, which is
-    every non-standardized W the constructors build, else Arnoldi (``eigs``)
-    for the ``_ARNOLDI_K`` eigenvalues of smallest and of largest real part.
-    When those hold a real eigenvalue, the most extreme real one among them is
-    W's, and the pair is cached on the weights object like the spectrum. When
-    one side holds none, the pair is read off W's full spectrum. A W with no
-    real eigenvalue at all (possible only with negative weights) makes no
-    real rho singular and gets (0, 0), which bounds nothing.
+    A symmetric W from ``_SPARSE_MIN_N`` areas up with no cached spectrum,
+    which covers every non-standardized W the constructors build at that
+    size, gets them from two Lanczos runs (``eigsh``) from a fixed start
+    vector, so the pair is deterministic, and the pair is cached on the
+    weights object like the spectrum. Every other W reads them off its
+    spectrum. A W with no real eigenvalue at all (possible only with
+    negative weights) makes no real rho singular and gets (0, 0), which
+    bounds nothing.
     """
     if not _has_spectrum(w):
         cached = w.__dict__.get("_sar_eigenvalue_range")
         if cached is not None:
             return cached
-        import scipy.sparse.linalg as spla
-
         a = w.sparse
-        if (a != a.T).nnz:
-            solver, ends, k = spla.eigs, ("SR", "LR"), min(_ARNOLDI_K, w.n - 2)
-        else:
-            solver, ends, k = spla.eigsh, ("SA", "LA"), 1
-        v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
-        low, high = (
-            _real_range(solver(a, k=k, which=which, v0=v0, return_eigenvectors=False))
-            for which in ends
-        )
-        if low is not None and high is not None:
-            w.__dict__["_sar_eigenvalue_range"] = (low[0], high[1])
-            return low[0], high[1]
+        if not (a != a.T).nnz:
+            import scipy.sparse.linalg as spla
+
+            v0 = np.random.default_rng(0).uniform(0.5, 1.5, w.n)
+            lo, hi = (float(spla.eigsh(a, k=1, which=which, v0=v0, return_eigenvectors=False)[0])
+                      for which in ("SA", "LA"))
+            w.__dict__["_sar_eigenvalue_range"] = (lo, hi)
+            return lo, hi
     return _real_range(w_eigenvalues(w)) or (0.0, 0.0)
 
 

@@ -102,6 +102,12 @@ class TestSimulateCommand:
         assert "master_seed=9" in head
         assert "config_hash=" in head
 
+    def test_without_weights_exit_2(self, capsys):
+        code, out, err = run(["simulate", "--rho", "0.5", "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--weights FILE or --lattice R C" in err
+
 
 class TestPermuteAndAggregate:
     def test_permute_rho_preserves_multiset(self, tmp_path, weights_file, values_file, capsys):
@@ -323,25 +329,42 @@ class TestExperimentsCommands:
         assert len(doc["cells"]) == 4
 
     def test_effects_without_feasible_cell_exit_2(self, capsys):
-        with pytest.warns(UserWarning, match="infeasible"):
-            code, out, err = run(["effects", "--cell", "100:200", "--instances", "4",
-                                  "--seed", "1", "--workers", "1"], capsys)
+        code, out, err = run(["effects", "--cell", "100:200", "--instances", "4",
+                              "--seed", "1", "--workers", "1"], capsys)
         assert code == 2
         assert out == ""
-        assert "no feasible" in err
+        assert "k must lie in [2, N]" in err
 
-    def test_effects_partly_infeasible_keeps_cells(self, tmp_path, capsys):
-        args = ["effects", "--cell", "100:12,53,90", "--instances", "2", "--r", "3",
-                "--seed", "1", "--workers", "1", "--out"]
-        code, _, _ = run([*args, str(tmp_path / "digest.json")], capsys)
-        assert code == 0
-        with pytest.warns(UserWarning, match=r"infeasible k values \[500\] at N=400"):
-            code, _, _ = run([*args, str(tmp_path / "extra.json"), "--cell", "400:500"], capsys)
-        assert code == 0
-        cells = [json.loads((tmp_path / f"{name}.json").read_text())["cells"]
-                 for name in ("digest", "extra")]
-        assert cells[0] == cells[1]
-        assert len(cells[0]) == 9
+    def test_effects_partly_infeasible_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        code, _, err = run(["effects", "--cell", "100:12,53,90", "--cell", "400:500",
+                            "--instances", "2", "--r", "3", "--seed", "1", "--workers", "1",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "(N=400, k=500)" in err
+        assert not out.exists()
+
+    def test_stall_exit_4(self, monkeypatch, capsys):
+        from smaup import experiments
+
+        monkeypatch.setattr(experiments, "_STALL_TRIALS", 0)
+        code, out, err = run(["null", "--n", "100", "--rho", "0", "--replicates", "1",
+                              "--seed", "1", "--workers", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "acceptance rate below 1e-4" in err
+
+    def test_null_on_lattice_or_weights_equals_area_count(self, tmp_path, weights_file, capsys):
+        def values(*source):
+            path = tmp_path / "null.json"
+            code, _, _ = run(["null", *source, "--rho", "0", "--replicates", "3", "--r", "5",
+                              "--seed", "1", "--workers", "1", "--out", str(path)], capsys)
+            assert code == 0
+            return json.loads(path.read_text())["values"]
+
+        expected = values("--n", "100")
+        assert values("--lattice", "10", "10") == expected
+        assert values("--weights", weights_file) == expected
 
     def test_effects_bad_cell_spec_exit_2(self, capsys):
         code, out, err = run(["effects", "--cell", "100", "--instances", "1",
@@ -352,7 +375,8 @@ class TestExperimentsCommands:
         (["null", "--n", "100", "--rho", "0", "--replicates", "3", "--r", "0"], "r must be >= 1"),
         (["size", "--n", "100", "--rhos=0", "--instances", "2", "--r", "-1"], "r must be >= 1"),
         (["power", "--n", "100", "--rhos=0", "--instances", "0"], "at least 1 instance"),
-    ], ids=["null-r-0", "size-r-negative", "power-instances-0"])
+        (["effects", "--cell", "100:12", "--instances", "1", "--r", "0"], "r must be >= 1"),
+    ], ids=["null-r-0", "size-r-negative", "power-instances-0", "effects-r-0"])
     def test_empty_run_is_usage_error(self, tmp_path, capsys, args, message):
         # zero aggregations would accept every instance unfiltered, zero
         # instances would divide by zero: both are input faults
@@ -407,36 +431,36 @@ ARTIFACTS = {
     "weights": (SETUP[0], {
         "w.json": "e9673ab8040a8a23f42a8c5a317414e97ba1e57d09a22bbf39987cdd8254151e"}),
     "weights-adjacency-raw": (["weights", "--adjacency", "adj.txt", "--raw", "--out", "a.json"], {
-        "a.json": "c9b754e15f95057b56bf677f7427f6e621757f3c205871e4ea8da6617b129fc1"}),
+        "a.json": "5641a6f6f6c9e443fed75bf81ba6091243171b00f8c42819af670f4040dcb48f"}),
     "simulate": (SETUP[1], {
-        "y.csv": "104797ecbaca329572790560ef4fbe1ae0882fc6caaedd8deeea64ee5e3cb7da"}),
+        "y.csv": "97452ce34f169fa6078954daf6f5a419baecbf241ed8b74285c6881ce4cb8a1e"}),
     "permute-rho": (["permute-rho", *INPUTS, "--target", "0.0", "--seed", "5", "--out", "p.csv"], {
-        "p.csv": "140a43b69a06aca1feaf59add4586e93fffe2ba74169fa329ece611b8472bf23"}),
+        "p.csv": "e32e65cab509aab383ea690883997ab54fa210e90d0e0e385cb2ac925f6cecca"}),
     "aggregate": (["aggregate", *INPUTS, "--k", "7", "--seed", "2", "--regions-out", "r.csv",
                    "--out", "m.csv"], {
-        "r.csv": "0b2085c867a22306c36c86a141476f3a7656fcf20a3fc448a9f15d44354fe952",
-        "m.csv": "6b6118f015a286ad760909f289594ccb7dfc68217796daceec13210aa0324f25"}),
+        "r.csv": "86ce858d6cdb844fd2f951ab7b899c42933b4f19a57054abfe88133d9b9c8598",
+        "m.csv": "9eff9f837bf683f4806d6d209ba1d7f583398f27ac9f8f986414c243af5aef8c"}),
     "test-json": (["test", *INPUTS, "--k", "30", "--json", "t.json"], {
-        "t.json": "d0cac0b49d40725c4a39312a4428eb31c0ea65e893a4857f2afcc5503c326a58"}),
+        "t.json": "d7fe717ec06aef79fd53f3910c68e4545bf777f6a3c2f426be1ad481ecd38a48"}),
     "test-null-json": (["test", *INPUTS, "--k", "30", "--rho", "0", "--null", "null.json",
                         "--json", "t.json"], {
-        "t.json": "8384f73f2c1ab7eb16dab49d76287fb42c98e9a0202b1f6988bb58404fbb9d08"}),
+        "t.json": "c1105f9add0414e9efd7bff762dd8a0c57c9b81cc4b1e6d02c29169502d80fce"}),
     "scan-json": (["scan", *INPUTS, "--k-min", "28", "--k-max", "32", "--json", "s.json"], {
-        "s.json": "b1f947bcddcc0c4bca932f165561302b5188b0213fe1dacdbaada6da350d857a"}),
+        "s.json": "77bf2424c501b8c5e50a2cf9c03bc35c2050879c2fa73b95d380736bdd7520b1"}),
     "null": (SETUP[2], {
         "null.json": "c618f587dcae150b4e4a1f0f9626cf6c098d3f61d8ac2ae0ca94306224335ee5"}),
     "power-json": (["power", *SMALL_CELLS, "--out", "o.json"], {
-        "o.json": "f2266bbbcd30f9064b774f2b3aa3a96c9f98aa054745e2b3eff27bf5f002eab1"}),
+        "o.json": "6fc1401399d12772f020935b42f961f98e687de84093f2718064ca724b8b66ab"}),
     "power-csv": (["power", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
         "o.csv": "855e6b17e027a0c62a3739e3a7054cff3ecce1186044742c7cb92f229e10cf39"}),
     "size-json": (["size", *SMALL_CELLS, "--out", "o.json"], {
-        "o.json": "f9e0d29390d896d48150db0df06ac24a3a50e60c55742bfd18befd54fcc7f966"}),
+        "o.json": "91d787e48ce3ceae4581e7fe5720393139d18e28e942c12dafa88edbc09a15e5"}),
     "size-csv": (["size", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
         "o.csv": "50e650ae52600f9583ec526d0c5a7558b314664b77ec0bb0b75a9daf5a95fe28"}),
     "effects-json": ([*EFFECTS, "--out", "o.json"], {
-        "o.json": "283a7db8a2fd5c44df4b9d2d8b6b03fc07abe8a941ab2ed0b52af6123a4e14c7"}),
+        "o.json": "5f5993fa12234247676f9563fb86a88e3abfcd07ce4ab0cf01946ecbdc26f78b"}),
     "effects-csv": ([*EFFECTS, "--format", "csv", "--out", "o.csv"], {
-        "o.csv": "83151e7fe42ad47b8167e52576302f5212b91e84670399fd6fa784edfb6fc163"}),
+        "o.csv": "b0eadcf04ab6767f6b011415fdde7a0bcc464d2b3a49a0e0ac40925f6e298381"}),
     "export-critical-values": (["export-critical-values", "--out", "cv.csv"], {
         "cv.csv": "4a8d87cbd1dd59bf3a02ba75ccf3a3a99efb77e8fa362cc48f9610df24d189e5"}),
 }
@@ -444,8 +468,8 @@ ARTIFACTS = {
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch, capsys):
-    # config_hash hashes the path strings, so every case runs on the same
-    # relative paths in a directory of its own
+    # every case runs in a directory of its own, on inputs made by the
+    # commands under test; config_hash reads the input files by content
     monkeypatch.chdir(tmp_path)
     Path("adj.txt").write_text("0: 1 2\n1: 0 3\n2: 0 3\n3: 1 2\n")
     for args in SETUP:
@@ -461,6 +485,20 @@ class TestArtifacts:
         assert main(args) == 0
         written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in expected}
         assert written == expected
+
+    def test_config_hash_reads_inputs_by_content(self, workdir):
+        def stamp(values, weights):
+            assert main(["test", "--values", values, "--weights", weights,
+                         "--k", "30", "--json", "t.json"]) == 0
+            return json.loads(Path("t.json").read_text())["config_hash"]
+
+        plain = stamp("y.csv", "w.json")
+        assert stamp("./y.csv", str(workdir / "w.json")) == plain
+        data = bytearray(Path("y.csv").read_bytes())
+        last_digit = max(data.rfind(digit) for digit in b"0123456789")
+        data[last_digit] = ord("1") if data[last_digit] != ord("1") else ord("2")
+        Path("y.csv").write_bytes(bytes(data))
+        assert stamp("y.csv", "w.json") != plain
 
     @pytest.mark.parametrize("args", [
         ["weights", "--lattice", "3", "3", "--out"],

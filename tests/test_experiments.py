@@ -232,7 +232,7 @@ class TestPowerAndSize:
         for runner, mode, seed in ((power_experiment, "always_reject", 12),
                                    (size_experiment, "never_reject", 13)):
             report = runner([100], [0.0], instances=5, master_seed=seed)
-            cell = (w100, 0.0, seed, mode, 30, 1)
+            cell = (w100, 0.0, seed, mode, 30)
             (records,) = experiments._fan_out(experiments._instance_task, [cell], 5, 1)
             rejections = sum(
                 m_statistic(rec["rho_hat"], rec["k"] / 100) > critical_value(100, rec["rho_hat"], 0.05)
@@ -240,12 +240,42 @@ class TestPowerAndSize:
             )
             assert report.proportion(100, 0.0) == rejections / 5, mode
 
+    @pytest.mark.parametrize("runner", [power_experiment, size_experiment], ids=["power", "size"])
+    def test_cell_records_independent_of_other_cells(self, monkeypatch, runner):
+        # instance j of every cell has the seed path prefix (recipe tag, j)
+        accepted, records = experiments._accepted_instance, []
+
+        def recording(w, rho, *args):
+            res = accepted(w, rho, *args)
+            records.append((rho, res))
+            return res
+
+        monkeypatch.setattr(experiments, "_accepted_instance", recording)
+
+        def cell_records(rho_values):
+            records.clear()
+            runner([100], rho_values, instances=3, master_seed=25, r=10)
+            return [res for rho, res in records if rho == 0.3]
+
+        assert cell_records([0.0, 0.3]) == cell_records([0.3])
+
+    def test_size_prices_the_nulls_own_instances(self, monkeypatch):
+        # size draws the null's instances, so against any critical value it
+        # is the share of the null's values above it
+        null = generate_null(100, 0.0, replicates=20, r=10, master_seed=26)
+        for q in (25, 50, 75):
+            cut = null.percentile(q)
+            monkeypatch.setattr(experiments, "critical_value", lambda n, rho, alpha: cut)
+            report = size_experiment([100], [0.0], instances=20, master_seed=26, r=10)
+            assert report.proportion(100, 0.0) == np.mean(null.values > cut), q
+
     def test_report_json_and_csv(self):
         report = power_experiment([100], [0.0], instances=3, master_seed=14)
         doc = json.loads(report.to_json())
         assert doc["kind"] == "power"
         assert doc["alpha"] == 0.05
         assert doc["instances"] == 3
+        assert doc["stream_version"] == 3
         csv = report.to_csv()
         assert csv.splitlines()[0] == "rho,k_or_N,metric,value"
         assert ",100,power," in csv.splitlines()[1]
@@ -283,40 +313,16 @@ class TestEffects:
         assert summary.rho_isolation
         assert summary.metadata["rcm_divisor"] == "abs(mean)"
 
-    def test_infeasible_k_skipped_with_warning(self):
-        config = EffectsConfig(
-            k_lists={100: (90, 150)}, rho_values=(0.9,),
-            instances=1, r=2, master_seed=19,
-        )
-        with pytest.warns(UserWarning, match="infeasible"):
-            summary = effects_experiment(config)
-        assert {c.k for c in summary.cells} == {90}
-
     def test_no_feasible_cell_raises(self):
-        config = EffectsConfig(
-            k_lists={25: (30, 40), 100: (200,)}, rho_values=(0.0,),
-            instances=4, r=2, master_seed=1,
-        )
-        with pytest.warns(UserWarning, match="infeasible"), \
-                pytest.raises(InvalidKError, match="no feasible"):
-            effects_experiment(config)
-
-    def test_infeasible_lattice_dropped_without_moving_seed_paths(self):
-        def cells(k_lists):
-            config = EffectsConfig(k_lists=k_lists, rho_values=(0.0, 0.9),
-                                   instances=2, r=3, master_seed=21)
-            return effects_experiment(config).cells
-
-        with pytest.warns(UserWarning, match=r"\[500\] at N=400"):
-            assert cells({100: (12, 53), 400: (500,)}) == cells({100: (12, 53)})
-        # N=100 is second in the sorted list either way, so its seeds do not move
-        with pytest.warns(UserWarning, match=r"\[30\] at N=25"):
-            partly = cells({25: (30,), 100: (12, 53)})
-        assert partly == tuple(c for c in cells({25: (3,), 100: (12, 53)}) if c.n == 100)
+        for k_lists in ({25: (30, 40), 100: (200,)}, {100: ()}, {}):
+            with pytest.raises(InvalidKError):
+                EffectsConfig(k_lists=k_lists, rho_values=(0.0,), instances=4, r=2, master_seed=1)
 
     def test_k_below_two_rejected(self):
-        with pytest.raises(InvalidKError):
-            EffectsConfig(k_lists={100: (1,)}, rho_values=(0.0,), instances=1)
+        # and k > N: the config is refused before any cell runs
+        for k_lists in ({100: (1,)}, {100: (90, 150)}):
+            with pytest.raises(InvalidKError, match=r"\[2, N\]"):
+                EffectsConfig(k_lists=k_lists, rho_values=(0.0,), instances=1)
 
     def test_csv_long_format(self):
         config = EffectsConfig(
@@ -340,14 +346,20 @@ class TestEffects:
         assert len(summary.cells) == 1
 
     def test_cell_independent_of_other_rho_and_k(self):
-        # a cell's partitions are keyed on (instance, k) only, and at the base
-        # rho its field is the base field, so the other cells do not move it
-        def cell(rho_values, ks):
-            config = EffectsConfig(k_lists={100: ks}, rho_values=rho_values,
-                                   instances=2, r=4, master_seed=23)
-            return effects_experiment(config).cell(100, 0.9, 53)
+        # no seed path names an N, rho or k position, so in either mode the
+        # other cells of a run, other lattices included, do not move a cell
+        def run(k_lists, rho_values, isolation):
+            config = EffectsConfig(k_lists=k_lists, rho_values=rho_values, instances=2, r=4,
+                                   rho_isolation=isolation, master_seed=23)
+            return effects_experiment(config)
 
-        assert cell((-0.9, 0.0, 0.9), (12, 53, 90)) == cell((0.9,), (53,))
+        for isolation in (True, False):
+            full = run({100: (12, 53, 90)}, (-0.9, 0.0, 0.9), isolation)
+            for rho, k in ((0.9, 53), (0.0, 53), (0.9, 12)):
+                alone = run({100: (k,)}, (rho,), isolation).cell(100, rho, k)
+                assert full.cell(100, rho, k) == alone, (isolation, rho, k)
+            with_25 = run({25: (3,), 100: (12, 53, 90)}, (-0.9, 0.0, 0.9), isolation)
+            assert tuple(c for c in with_25.cells if c.n == 100) == full.cells, isolation
 
     @pytest.mark.parametrize("rho_values", [(0.9,), (-0.9, 0.0, 0.9)])
     def test_partitions_grown_once_per_instance_and_k(self, monkeypatch, rho_values):
@@ -363,7 +375,7 @@ class TestEffects:
                                instances=2, r=3, master_seed=24)
         summary = effects_experiment(config)
         assert sorted(grown) == [12] * 6 + [53] * 6 + [90] * 6
-        assert summary.metadata["stream_version"] == 2
+        assert summary.metadata["stream_version"] == 3
 
     def test_worker_independence(self):
         config = EffectsConfig(
@@ -385,14 +397,14 @@ def payload_sha256(result) -> str:
     ("null", lambda: generate_null(100, 0.0, replicates=20, master_seed=1),
      "b3f8818190bf7c992435c35a7f80493f2d96ba2c6a138a895ac039b4320dcbe2"),
     ("power", lambda: power_experiment([100], [0.0], instances=15, master_seed=1),
-     "5ac4b8d5a701475ebb7bc8b3c3e5d5a6f9cb0e3a6cbc869e75f1b55e9e071b6a"),
+     "fb58a7bde5ad4e9cc778e7a7cfa06a32d503dbf679979bc921dfdebeb470745c"),
     ("size", lambda: size_experiment([100], [0.0], instances=20, master_seed=1),
-     "849a6220006cd0c5b7caebda8a2fc608d8f3480140b526ba5c58a94a8cbd6bae"),
+     "7cfe7dfef5d4516e01b7ddb63272aedc699537c9decd59db5e47b08c20492ad6"),
     ("effects", lambda: effects_experiment(EffectsConfig(
         k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
         master_seed=1)),
-     "49672ca31dfe831758a2b0c1e2b867a0c50e6d6fb43e77850298810fd63df43b"),
-])
+     "5f6cbc548d5c49d299908bebaa616956f710732a2188f9b2ddbb997a51f4a990"),
+], ids=["null", "power", "size", "effects"])
 def test_payload_bytes_pinned(name, run, sha256):
     # any change of a random stream or of a reported figure moves these digests
     assert payload_sha256(run()) == sha256, name

@@ -316,9 +316,9 @@ class TestComplexSpectrum:
         with pytest.raises(NumericalError, match="stability interval"):
             generate_sar(w, SarSpec(rho=0.5, seed=0))
 
-    def test_arnoldi_side_without_real_eigenvalue_reads_full_spectrum(self, monkeypatch):
-        # Arnoldi's six leftmost eigenvalues of the ring are all complex, with
-        # real parts down to -1.92; the one real eigenvalue is 2
+    def test_sparse_side_ring_interval_from_spectrum(self, monkeypatch):
+        # the ring's leftmost eigenvalues are all complex, with real parts
+        # down to -1.92; the one real eigenvalue is 2
         monkeypatch.setattr(sar, "_SPARSE_MIN_N", 5)
         w = ring(11, forward=1.8, backward=0.2)
         assert _eigenvalue_range(w) == pytest.approx((2.0, 2.0), rel=0, abs=1e-12)
@@ -337,7 +337,7 @@ class TestComplexSpectrum:
         eps = np.random.default_rng(0).standard_normal(w.n)
         assert np.allclose(y.values - 0.9 * (w.sparse @ y.values), eps, atol=1e-12)
 
-    def test_arnoldi_interval_from_real_eigenvalues(self, monkeypatch):
+    def test_sparse_side_interval_from_real_eigenvalues(self, monkeypatch):
         # 60 areas on a cycle, each joined to the two nearest on either side,
         # with cubed uniform weights; seed 33 puts a complex pair (real part
         # -0.760) left of every real eigenvalue
@@ -505,7 +505,7 @@ class TestSparsePath:
         eps = np.random.default_rng(0).standard_normal(w.n)
         assert np.allclose(y.values - spec.rho * (w.sparse @ y.values), eps, atol=1e-9)
 
-    def test_asymmetric_weights_interval_from_arnoldi(self, monkeypatch):
+    def test_asymmetric_weights_interval_from_spectrum(self, monkeypatch):
         base = build_lattice_rook(15, 15, standardized=False)
         w, scale = scaled_rows(base, seed=7)
         root = np.sqrt(scale)
