@@ -12,7 +12,6 @@ scale.
 from ._version import __version__
 from .core import (
     DEFAULT_PARAMS,
-    SmaupParams,
     SmaupResult,
     eta_of_theta,
     l_of_theta,
@@ -126,7 +125,6 @@ __all__ = [
     "levene_test",
     "pseudo_p",
     # statistic + test
-    "SmaupParams",
     "DEFAULT_PARAMS",
     "SmaupResult",
     "l_of_theta",

@@ -149,18 +149,31 @@ def _int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+# Area sources, in the order an error names them: (option, its spelling,
+# loader of (value, standardized)). Each command defines some of them.
+_AREA_SOURCES = (
+    ("n", "--n N", lambda n, std: lattice_for_area_count(n)),
+    ("weights", "--weights FILE", lambda path, std: SpatialWeights.from_json(Path(path).read_text())),
+    ("lattice", "--lattice R C", lambda rc, std: build_lattice_rook(*rc, standardized=std)),
+    ("adjacency", "--adjacency FILE",
+     lambda path, std: from_adjacency_text(Path(path).read_text(), standardized=std)),
+    ("geojson", "--geojson FILE", lambda path, std: from_geojson(Path(path).read_text(), standardized=std)),
+)
+
+
+def _weights_from_args(args) -> SpatialWeights:
+    """The weights of the one area source given, binary under ``--raw``."""
+    offered = [source for source in _AREA_SOURCES if hasattr(args, source[0])]
+    given = [source for source in offered if getattr(args, source[0]) is not None]
+    if len(given) != 1:
+        names = [spelling for _, spelling, _ in offered]
+        raise ValueError(f"pass exactly one of {', '.join(names[:-1])} or {names[-1]}")
+    ((option, _, load),) = given
+    return load(getattr(args, option), not getattr(args, "raw", False))
+
+
 def _cmd_weights(args) -> int:
-    chosen = [opt for opt in (args.lattice, args.adjacency, args.geojson) if opt]
-    if len(chosen) != 1:
-        raise ValueError("pass exactly one of --lattice R C, --adjacency FILE, --geojson FILE")
-    standardized = not args.raw
-    if args.lattice:
-        rows, cols = args.lattice
-        w = build_lattice_rook(rows, cols, standardized=standardized)
-    elif args.adjacency:
-        w = from_adjacency_text(Path(args.adjacency).read_text(), standardized=standardized)
-    else:
-        w = from_geojson(Path(args.geojson).read_text(), standardized=standardized)
+    w = _weights_from_args(args)
     _emit(args.out, args, w.to_dict())
     summary = f"n={w.n} edges={w.edge_count} connected={is_connected(w)}"
     if args.out in (None, "-"):
@@ -168,15 +181,6 @@ def _cmd_weights(args) -> int:
     else:
         print(f"{summary} -> {args.out}")
     return 0
-
-
-def _weights_from_args(args) -> SpatialWeights:
-    if getattr(args, "lattice", None):
-        rows, cols = args.lattice
-        return build_lattice_rook(rows, cols)
-    if getattr(args, "weights", None):
-        return SpatialWeights.from_json(Path(args.weights).read_text())
-    raise ValueError("pass --weights FILE or --lattice R C")
 
 
 def _cmd_simulate(args) -> int:
@@ -273,10 +277,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_null(args) -> int:
     seed = _resolve_seed(args)
-    if args.n is not None:
-        w = lattice_for_area_count(args.n)
-    else:
-        w = _weights_from_args(args)
+    w = _weights_from_args(args)
     dist = generate_null(
         w, rho=args.rho, replicates=args.replicates, r=args.r,
         master_seed=seed, workers=args.workers,
@@ -308,7 +309,10 @@ def _cmd_effects(args) -> int:
         head, sep, tail = cell.partition(":")
         if not sep:
             raise ValueError(f"--cell must look like N:k1,k2,... got {cell!r}")
-        k_lists[int(head)] = tuple(_int_list(tail))
+        n = int(head)
+        if n in k_lists:
+            raise ValueError(f"--cell N={n} given twice; list all its ks in one N:k1,k2,...")
+        k_lists[n] = tuple(_int_list(tail))
     config = EffectsConfig(
         k_lists=k_lists,
         rho_values=tuple(args.rhos),

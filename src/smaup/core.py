@@ -11,7 +11,7 @@ themselves functions of theta:
 
 with L an inverse logistic in theta, eta a power law, and tau affine. The
 six constants were calibrated once against large-scale aggregation
-simulations and ship as frozen defaults in :class:`SmaupParams`.
+simulations and ship as the read-only mapping :data:`DEFAULT_PARAMS`.
 
 The one-sided test rejects the null of non-sensitivity when M exceeds the
 tabulated critical value for (N, rho) at the requested level, and can also
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .stats import pseudo_p as _pseudo_p
 from .weights import SpatialWeights
 
 __all__ = [
-    "SmaupParams",
     "DEFAULT_PARAMS",
     "SmaupResult",
     "l_of_theta",
@@ -47,36 +47,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SmaupParams:
-    """Calibrated constants of the statistic's closed form.
-
-    ``logistic_intercept``/``logistic_slope`` shape the ceiling L(theta),
-    ``power_scale``/``power_exponent`` the onset eta(theta), and
-    ``tau_intercept``/``tau_slope`` the decline speed tau(theta). The
-    defaults are the published calibration, and :data:`DEFAULT_PARAMS`, the
-    one instance the statistic reads, records them.
-    """
-
-    logistic_intercept: float = -2.188  # b
-    logistic_slope: float = 7.031       # m
-    power_scale: float = 0.516          # p
-    power_exponent: float = 1.287       # a
-    tau_intercept: float = 5.319        # beta0
-    tau_slope: float = -5.532           # beta1
-
-    def to_dict(self) -> dict:
-        return {
-            "logistic_intercept": self.logistic_intercept,
-            "logistic_slope": self.logistic_slope,
-            "power_scale": self.power_scale,
-            "power_exponent": self.power_exponent,
-            "tau_intercept": self.tau_intercept,
-            "tau_slope": self.tau_slope,
-        }
-
-
-DEFAULT_PARAMS = SmaupParams()
+# The published calibration of the closed form: ``logistic_*`` shape the
+# ceiling L(theta), ``power_*`` the onset eta(theta), ``tau_*`` the decline
+# speed tau(theta). Read-only; every test result records it under "params".
+DEFAULT_PARAMS = MappingProxyType({
+    "logistic_intercept": -2.188,  # b
+    "logistic_slope": 7.031,       # m
+    "power_scale": 0.516,          # p
+    "power_exponent": 1.287,       # a
+    "tau_intercept": 5.319,        # beta0
+    "tau_slope": -5.532,           # beta1
+})
 
 
 def l_of_theta(theta):
@@ -87,14 +68,14 @@ def l_of_theta(theta):
     caps it near zero.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    out = 1.0 / (1.0 + np.exp(DEFAULT_PARAMS.logistic_intercept + DEFAULT_PARAMS.logistic_slope * theta))
+    out = 1.0 / (1.0 + np.exp(DEFAULT_PARAMS["logistic_intercept"] + DEFAULT_PARAMS["logistic_slope"] * theta))
     return float(out) if out.ndim == 0 else out
 
 
 def eta_of_theta(theta):
     """Decline-onset factor: power law p * theta^a, increasing on (0, 1]."""
     theta = np.asarray(theta, dtype=np.float64)
-    out = DEFAULT_PARAMS.power_scale * np.power(theta, DEFAULT_PARAMS.power_exponent)
+    out = DEFAULT_PARAMS["power_scale"] * np.power(theta, DEFAULT_PARAMS["power_exponent"])
     return float(out) if out.ndim == 0 else out
 
 
@@ -105,7 +86,7 @@ def tau_of_theta(theta):
     its sign sets whether M falls or rises in rho.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    out = DEFAULT_PARAMS.tau_intercept + DEFAULT_PARAMS.tau_slope * theta
+    out = DEFAULT_PARAMS["tau_intercept"] + DEFAULT_PARAMS["tau_slope"] * theta
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,7 +160,7 @@ class SmaupResult:
                 if self.pseudo_p_decision is None
                 else {str(a): bool(v) for a, v in self.pseudo_p_decision.items()}
             ),
-            "params": DEFAULT_PARAMS.to_dict(),
+            "params": dict(DEFAULT_PARAMS),
         }
         return d
 

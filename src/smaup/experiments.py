@@ -8,20 +8,18 @@ when that repeat is reached. It shares ``random_regions``'s growth loop but
 skips its validation. Its callers take each field's region means by
 ``bincount`` and the field's share of Welch and Levene once per field.
 
-The null, power and size harnesses share one instance recipe. A SAR field is
-drawn on a square rook lattice, a region count k is drawn uniformly with
-0.1 N < k < N, and the instance is kept or redrawn according to the Levene
-decisions over the kernel's r aggregations:
-
-* null / size recipe: keep iff Levene never rejects (the variance structure
-  survives aggregation, i.e. the null hypothesis holds);
-* power recipe: keep iff Levene rejects every time (the variance structure
-  is destroyed, i.e. the alternative holds).
-
-The filter stops at the first aggregation that decides it. On a failure only
+The null, power and size harnesses share one instance recipe, set by one
+flag. A SAR field is drawn on a square rook lattice, a region count k is
+drawn uniformly with 0.1 N < k < N, and the instance is kept iff each of the
+kernel's r Levene decisions equals ``want_rejection``: False for the null and
+size (the variance structure survives aggregation, i.e. the null holds),
+True for power (it is destroyed every time, i.e. the alternative holds). The
+filter stops at the first aggregation that decides it. On a failure only
 (k, aggregations) are redrawn; the SAR field is kept. After
 ``_K_REDRAWS_PER_FIELD`` consecutive failures the field itself is redrawn,
-which prevents livelock on pathological fields.
+which prevents livelock on pathological fields. One run,
+:func:`_accepted_records`, yields (M, estimated rho) per accepted instance:
+the null keeps the Ms, size and power price each M at its own estimated rho.
 
 The effects harness draws every rho field of an instance first. Then, for
 each k, it grows the instance's r partitions once and aggregates every rho
@@ -30,11 +28,11 @@ field on each of them, feeding the means to the Welch and Levene tests.
 Every random draw derives from the master seed and a seed path that names
 what the draw is, never where its cell sits in the run: (master seed,
 [recipe tag,] instance, role, counters within the instance). Null, power and
-size key instance j on (recipe tag, j), tag 0 never-reject and 1
-always-reject, so size prices the null's own instances; effects keys its
-draws on (instance, role[, k, repeat]). The cells of a run share their
-instances' seeds (common random numbers, Glasserman & Yao 1992): no cell
-depends on the others, and each cell's own distribution is unchanged.
+size key instance j on (int(want_rejection), j), so size prices the null's
+own instances; effects keys its draws on (instance, role[, k, repeat]). The
+cells of a run share their instances' seeds (common random numbers, Glasserman
+& Yao 1992): no cell depends on the others, and each cell's own distribution
+is unchanged.
 
 Every harness runs its instances through one fan-out, :func:`_fan_out`: one
 task per (cell, instance), run serially or on a process pool, results handed
@@ -93,9 +91,6 @@ _ROLE_KDRAW = 1
 _ROLE_REGIONS = 2
 _ROLE_BASE_FIELD = 3
 _ROLE_TARGET_RHO = 4
-
-# Seed-path tag of each instance recipe of the null, power and size harnesses.
-_RECIPE_TAGS = {"never_reject": 0, "always_reject": 1}
 
 # Version of the harnesses' random streams, recorded in the power/size and
 # effects artifacts. 2: one set of partitions per (instance, k) serves every
@@ -213,11 +208,12 @@ def _accepted_instance(
     w: SpatialWeights,
     rho: float,
     master_seed: int,
-    path_prefix: tuple[int, ...],
-    mode: str,
+    want_rejection: bool,
     r: int,
+    j: int,
 ) -> dict:
-    """Draw (field, k, aggregations) until the acceptance filter passes.
+    """Draw (field, k, aggregations) until every Levene decision equals
+    ``want_rejection``; instance j's seed path prefix is (int(want_rejection), j).
 
     Returns the accepted instance's estimated rho, k, and trial count.
     Raises ExperimentStallError when the acceptance rate over the trial
@@ -228,8 +224,7 @@ def _accepted_instance(
     hi = n - 1
     if lo > hi:
         raise InvalidKError(f"no integer k satisfies 0.1*{n} < k < {n}")
-    # never_reject: keep iff no Levene test rejects; always_reject: iff all do
-    want_rejection = mode == "always_reject"
+    path_prefix = (int(want_rejection), j)
     trials = 0
     attempt = 0
     while True:
@@ -240,8 +235,8 @@ def _accepted_instance(
             trials += 1
             if trials > _STALL_TRIALS:
                 raise ExperimentStallError(
-                    f"acceptance rate below 1e-4: no {mode} instance in {trials} trials "
-                    f"at (N={n}, rho={rho})",
+                    f"acceptance rate below 1e-4: no {'always' if want_rejection else 'never'}-reject "
+                    f"instance in {trials} trials at (N={n}, rho={rho})",
                     rate=1.0 / trials,
                 )
             k_rng = derive_rng(master_seed, *path_prefix, _ROLE_KDRAW, attempt, k_try)
@@ -255,6 +250,21 @@ def _accepted_instance(
                 rho_hat = estimate_rho(w, y)
                 return {"rho_hat": rho_hat, "k": k, "trials": trials, "attempts": attempt + 1}
         attempt += 1
+
+
+def _accepted_records(cells, want_rejection: bool, instances: int, r: int,
+                      master_seed: int, workers: int) -> list[list[tuple[float, float]]]:
+    """(M, estimated rho) of accepted instances 0..instances-1 of each (w, rho)
+    cell, one list per cell in instance order."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    for w, _ in cells:
+        w_eigenvalues(w)  # cached once, before fan-out: every instance estimates rho on w
+    tasks = [(w, rho, master_seed, want_rejection, r) for w, rho in cells]
+    return [
+        [(m_statistic(res["rho_hat"], res["k"] / w.n), res["rho_hat"]) for res in results]
+        for (w, _), results in zip(cells, _fan_out(_instance_task, tasks, instances, workers))
+    ]
 
 
 def generate_null(
@@ -274,16 +284,12 @@ def generate_null(
     ``w_or_n`` is either a SpatialWeights object or an integer area count
     (a perfect square, turned into a rook lattice).
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
     w = w_or_n if isinstance(w_or_n, SpatialWeights) else lattice_for_area_count(int(w_or_n))
-    w_eigenvalues(w)  # cached once, before fan-out: every replicate estimates rho on w
-    cell = (w, rho, master_seed, "never_reject", r)
-    (results,) = _fan_out(_instance_task, [cell], replicates, workers)
+    (records,) = _accepted_records([(w, rho)], False, replicates, r, master_seed, workers)
     return NullDistribution(
         n=w.n,
         rho=rho,
-        values=np.array([m_statistic(res["rho_hat"], res["k"] / w.n) for res in results]),
+        values=np.array([m for m, _ in records]),
         replicates=replicates,
         r_aggregations=r,
         master_seed=master_seed,
@@ -333,7 +339,7 @@ class PowerSizeReport:
 
 
 def _rejection_experiment(
-    kind: str,
+    want_rejection: bool,
     n_values,
     rho_values,
     instances: int,
@@ -342,30 +348,17 @@ def _rejection_experiment(
     workers: int,
     r: int,
 ) -> PowerSizeReport:
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    mode = "always_reject" if kind == "power" else "never_reject"
     n_values = [int(n) for n in n_values]
-    rho_values = [float(rho) for rho in rho_values]
     lattices = {n: lattice_for_area_count(n) for n in n_values}
-    for w in lattices.values():
-        w_eigenvalues(w)  # cached once: every instance estimates rho on its lattice
-    pairs = [(n, rho) for n in n_values for rho in rho_values]
-    cells = [(lattices[n], rho, master_seed, mode, r) for n, rho in pairs]
-    report_cells = []
-    for (n, rho), results in zip(pairs, _fan_out(_instance_task, cells, instances, workers)):
-        rejections = 0
-        for res in results:
-            rho_hat = res["rho_hat"]
-            rejections += m_statistic(rho_hat, res["k"] / n) > critical_value(n, rho_hat, alpha)
-        report_cells.append({"n": n, "rho": rho, "proportion": rejections / instances})
-    return PowerSizeReport(
-        kind=kind,
-        alpha=alpha,
-        instances=instances,
-        cells=tuple(report_cells),
-        master_seed=master_seed,
+    pairs = [(n, float(rho)) for n in n_values for rho in rho_values]
+    per_cell = _accepted_records([(lattices[n], rho) for n, rho in pairs], want_rejection,
+                                 instances, r, master_seed, workers)
+    cells = tuple(
+        {"n": n, "rho": rho,
+         "proportion": sum(m > critical_value(n, rho_hat, alpha) for m, rho_hat in records) / instances}
+        for (n, rho), records in zip(pairs, per_cell)
     )
+    return PowerSizeReport("power" if want_rejection else "size", alpha, instances, cells, master_seed)
 
 
 def power_experiment(
@@ -382,7 +375,7 @@ def power_experiment(
     Instances satisfy the alternative (Levene rejects for every one of the r
     aggregations); the report gives the fraction of them our test rejects.
     """
-    return _rejection_experiment("power", n_values, rho_values, instances, alpha, master_seed, workers, r)
+    return _rejection_experiment(True, n_values, rho_values, instances, alpha, master_seed, workers, r)
 
 
 def size_experiment(
@@ -395,7 +388,7 @@ def size_experiment(
     r: int = 30,
 ) -> PowerSizeReport:
     """Estimated type-I error: rejection rate on instances satisfying the null."""
-    return _rejection_experiment("size", n_values, rho_values, instances, alpha, master_seed, workers, r)
+    return _rejection_experiment(False, n_values, rho_values, instances, alpha, master_seed, workers, r)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +613,9 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
 
 
 def _instance_task(args) -> dict:
-    """Accepted instance j of a null, power or size cell. Its seed path prefix
-    is (recipe tag, j), the same in every cell, so the null and size at one
-    seed draw the same instances."""
-    w, rho, master_seed, mode, r, j = args
-    return _accepted_instance(w, rho, master_seed, (_RECIPE_TAGS[mode], j), mode, r)
+    """Accepted instance j of a null, power or size cell: ``args`` are those
+    of :func:`_accepted_instance`, looked up when the task runs."""
+    return _accepted_instance(*args)
 
 
 def __getattr__(name: str):

@@ -31,7 +31,6 @@ __all__ = [
     "aggregate_mean",
     "validate_regionalization",
     "regionalization_to_csv",
-    "regionalization_from_csv",
 ]
 
 
@@ -259,25 +258,3 @@ def regionalization_to_csv(r: Regionalization) -> str:
     lines = ["area_id,region_id"]
     lines.extend(f"{i},{int(label)}" for i, label in enumerate(r.assignment))
     return "\n".join(lines) + "\n"
-
-
-def regionalization_from_csv(text: str) -> Regionalization:
-    """Parse the two-column ``area_id, region_id`` format."""
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.lower().replace(" ", "") == "area_id,region_id":
-            continue
-        try:
-            a, g = line.split(",")
-            pairs.append((int(a), int(g)))
-        except ValueError:
-            raise CorruptPartitionError(f"bad partition row: {line!r}") from None
-    if not pairs:
-        raise CorruptPartitionError("empty partition file")
-    pairs.sort()
-    ids = [p[0] for p in pairs]
-    if ids != list(range(len(ids))):
-        raise CorruptPartitionError("area ids must be consecutive 0..n-1")
-    labels = np.array([p[1] for p in pairs], dtype=np.int64)
-    return Regionalization(assignment=labels, k=int(labels.max()) + 1)

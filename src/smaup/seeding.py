@@ -1,9 +1,10 @@
 """Counter-based seed derivation for reproducible parallel simulation.
 
 Every random draw in the toolkit flows from one 64-bit master seed. Child
-seeds are derived from the master seed plus an integer path (cell index,
-instance index, repeat index, ...) via :class:`numpy.random.SeedSequence`
-spawn keys, so a result never depends on scheduling order or worker count.
+seeds are derived from the master seed plus an integer path that names what
+the draw is (recipe tag, instance, role, repeat, ...; never a cell's place in
+the run) via :class:`numpy.random.SeedSequence` spawn keys, so a result never
+depends on scheduling order, worker count or the other cells of a run.
 """
 
 from __future__ import annotations

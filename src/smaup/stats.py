@@ -155,9 +155,9 @@ def welch_t_test(a, b) -> TestOutcome:
     return _welch(*_welch_terms(a), *_welch_terms(b))
 
 
-def _levene_terms(x: np.ndarray, center: str = "mean") -> tuple[int, float, float, float, float]:
-    """One sample's share of Levene's test: size, mean, squared deviations, min, max of |x - center|."""
-    z = np.abs(x - (x.sum() / x.size if center == "mean" else np.median(x)))
+def _levene_terms(x: np.ndarray) -> tuple[int, float, float, float, float]:
+    """One sample's share of Levene's test: size, mean, squared deviations, min, max of |x - mean|."""
+    z = np.abs(x - x.sum() / x.size)
     return (z.size, *_mean_and_ss(z), z.min(), z.max())
 
 
@@ -174,19 +174,17 @@ def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestO
     return _outcome(stat, scipy.special.fdtrc(1.0, dfd, stat))
 
 
-def levene_test(a, b, center: str = "mean") -> TestOutcome:
+def levene_test(a, b) -> TestOutcome:
     """Levene's test for equality of variances of two samples.
 
-    Classic Levene scores are absolute deviations from the group mean; the
-    one-way F statistic on those scores has (1, n_a + n_b - 2) degrees of
-    freedom. ``center="median"`` switches to Brown-Forsythe scoring for
-    sensitivity checks. When every group's scores are constant but the
-    groups differ, F is infinite and p is 0.
+    The scores are absolute deviations from the group mean: the classic,
+    mean-centred test of Levene (1960), not the median-centred Brown-Forsythe
+    variant that is ``scipy.stats.levene``'s default. The one-way F statistic
+    on those scores has (1, n_a + n_b - 2) degrees of freedom. When every
+    group's scores are constant but the groups differ, F is infinite and p is 0.
     """
     a, b = _sample(a), _sample(b)
-    if center not in ("mean", "median"):
-        raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
-    return _levene(*_levene_terms(a, center), *_levene_terms(b, center))
+    return _levene(*_levene_terms(a), *_levene_terms(b))
 
 
 def pseudo_p(null_values, m: float) -> float:

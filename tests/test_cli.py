@@ -109,6 +109,34 @@ class TestSimulateCommand:
         assert "--weights FILE or --lattice R C" in err
 
 
+class TestAreaSources:
+    """weights, simulate and null each take exactly one of their area sources."""
+
+    @pytest.mark.parametrize("args", [
+        ["null", "--n", "100", "--lattice", "5", "5", "--rho", "0", "--replicates", "2", "--r", "3",
+         "--seed", "1", "--workers", "1"],
+        ["simulate", "--weights", "W16", "--lattice", "10", "10", "--rho", "0", "--seed", "1"],
+        ["null", "--lattice", "10", "10", "--weights", "W16", "--rho", "0", "--replicates", "2",
+         "--r", "3", "--seed", "1", "--workers", "1"],
+    ], ids=["null-n-lattice", "simulate-weights-lattice", "null-lattice-weights"])
+    def test_two_sources_exit_2(self, tmp_path, capsys, args):
+        w16 = tmp_path / "w16.json"
+        w16.write_text(build_lattice_rook(4, 4).to_json())
+        out = tmp_path / "out"
+        code, stdout, err = run([str(w16) if a == "W16" else a for a in args] + ["--out", str(out)],
+                                capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "pass exactly one of" in err
+        assert not out.exists()
+
+    def test_message_names_the_commands_own_sources(self, capsys):
+        code, _, err = run(["null", "--rho", "0", "--replicates", "2", "--seed", "1",
+                            "--workers", "1"], capsys)
+        assert code == 2
+        assert "pass exactly one of --n N, --weights FILE or --lattice R C" in err
+
+
 class TestPermuteAndAggregate:
     def test_permute_rho_preserves_multiset(self, tmp_path, weights_file, values_file, capsys):
         out = tmp_path / "p.csv"
@@ -342,6 +370,15 @@ class TestExperimentsCommands:
                             "--out", str(out)], capsys)
         assert code == 2
         assert "(N=400, k=500)" in err
+        assert not out.exists()
+
+    def test_effects_repeated_cell_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        code, _, err = run(["effects", "--cell", "100:12", "--cell", "100:90", "--rhos=0",
+                            "--instances", "1", "--r", "3", "--seed", "1", "--workers", "1",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "N=100 given twice" in err
         assert not out.exists()
 
     def test_stall_exit_4(self, monkeypatch, capsys):

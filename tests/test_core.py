@@ -8,7 +8,6 @@ import pytest
 from mpmath import mp, mpf
 
 from smaup import (
-    DEFAULT_PARAMS,
     InvalidAlphaError,
     InvalidKError,
     NullDistribution,
@@ -30,14 +29,11 @@ mp.dps = 50
 
 
 def oracle_m(rho, theta):
-    """Independent extended-precision evaluation of the statistic."""
-    params = DEFAULT_PARAMS
-    b = mpf(repr(params.logistic_intercept))
-    m = mpf(repr(params.logistic_slope))
-    p = mpf(repr(params.power_scale))
-    a = mpf(repr(params.power_exponent))
-    b0 = mpf(repr(params.tau_intercept))
-    b1 = mpf(repr(params.tau_slope))
+    """Independent extended-precision evaluation of the statistic, from the
+    six published constants rather than the library's copy of them."""
+    b, m = mpf("-2.188"), mpf("7.031")
+    p, a = mpf("0.516"), mpf("1.287")
+    b0, b1 = mpf("5.319"), mpf("-5.532")
     rho = mpf(repr(float(rho)))
     theta = mpf(repr(float(theta)))
     big_l = 1 / (1 + mp.e ** (b + m * theta))

@@ -138,19 +138,18 @@ class TestAcceptanceRecipe:
         with pytest.raises(ContiguityError):
             next(_partitions(split, 2, (1,), 1))
 
-    @pytest.mark.parametrize("prefix, mode, k, trials, rho_hat", [
-        ((0, 0), "never_reject", 61, 6, -0.13540828322856058),
-        ((1, 0), "always_reject", 14, 8, -0.0964718841671182),
-    ])
-    def test_accepted_instance_pinned(self, w100, prefix, mode, k, trials, rho_hat):
+    @pytest.mark.parametrize("want_rejection, k, trials, rho_hat", [
+        (False, 61, 6, -0.13540828322856058),
+        (True, 14, 8, -0.0964718841671182),
+    ], ids=["never-reject", "always-reject"])
+    def test_accepted_instance_pinned(self, w100, want_rejection, k, trials, rho_hat):
         # pinned figures: they move only if a seed path or random stream changes
-        res = _accepted_instance(w100, 0.0, master_seed=7, path_prefix=prefix, mode=mode, r=10)
+        res = _accepted_instance(w100, 0.0, master_seed=7, want_rejection=want_rejection, r=10, j=0)
         assert (res["k"], res["trials"], res["attempts"]) == (k, trials, 1)
         assert res["rho_hat"] == pytest.approx(rho_hat, abs=1e-12)
 
     def test_accepted_instance_fields(self, w100):
-        res = _accepted_instance(w100, 0.0, master_seed=7, path_prefix=(0, 0),
-                                 mode="never_reject", r=10)
+        res = _accepted_instance(w100, 0.0, master_seed=7, want_rejection=False, r=10, j=0)
         assert 10 < res["k"] < 100
         assert -1 < res["rho_hat"] < 1
         assert res["trials"] >= 1
@@ -158,8 +157,7 @@ class TestAcceptanceRecipe:
     def test_k_bounds_are_strict(self, w100):
         # every accepted k across a spread of replicates obeys 0.1N < k < N
         for j in range(10):
-            res = _accepted_instance(w100, 0.0, master_seed=8, path_prefix=(0, j),
-                                     mode="never_reject", r=5)
+            res = _accepted_instance(w100, 0.0, master_seed=8, want_rejection=False, r=5, j=j)
             assert 10 < res["k"] < 100
 
     def test_stall_detection(self, monkeypatch):
@@ -167,8 +165,7 @@ class TestAcceptanceRecipe:
         w25 = build_lattice_rook(5, 5)
         # all-30-reject at N=25 is essentially impossible: tiny aggregated samples
         with pytest.raises(ExperimentStallError) as excinfo:
-            _accepted_instance(w25, 0.9, master_seed=9, path_prefix=(0, 0),
-                               mode="always_reject", r=30)
+            _accepted_instance(w25, 0.9, master_seed=9, want_rejection=True, r=30, j=0)
         assert excinfo.value.rate is not None
         assert excinfo.value.rate <= 1e-4 or excinfo.value.rate == pytest.approx(1 / 4)
 
@@ -176,8 +173,7 @@ class TestAcceptanceRecipe:
         from smaup import InsufficientDataError
         w4 = build_lattice_rook(2, 2)
         with pytest.raises(InsufficientDataError, match="n >= 10"):
-            _accepted_instance(w4, 0.0, master_seed=0, path_prefix=(0, 0),
-                               mode="never_reject", r=2)
+            _accepted_instance(w4, 0.0, master_seed=0, want_rejection=False, r=2, j=0)
 
 
 class TestFanOut:
@@ -229,20 +225,20 @@ class TestPowerAndSize:
 
     def test_proportion_is_the_share_of_instances_above_the_table(self, w100):
         # each accepted instance is priced at its own estimated rho
-        for runner, mode, seed in ((power_experiment, "always_reject", 12),
-                                   (size_experiment, "never_reject", 13)):
+        for runner, want_rejection, seed in ((power_experiment, True, 12),
+                                             (size_experiment, False, 13)):
             report = runner([100], [0.0], instances=5, master_seed=seed)
-            cell = (w100, 0.0, seed, mode, 30)
+            cell = (w100, 0.0, seed, want_rejection, 30)
             (records,) = experiments._fan_out(experiments._instance_task, [cell], 5, 1)
             rejections = sum(
                 m_statistic(rec["rho_hat"], rec["k"] / 100) > critical_value(100, rec["rho_hat"], 0.05)
                 for rec in records
             )
-            assert report.proportion(100, 0.0) == rejections / 5, mode
+            assert report.proportion(100, 0.0) == rejections / 5, want_rejection
 
     @pytest.mark.parametrize("runner", [power_experiment, size_experiment], ids=["power", "size"])
     def test_cell_records_independent_of_other_cells(self, monkeypatch, runner):
-        # instance j of every cell has the seed path prefix (recipe tag, j)
+        # instance j of every cell has the seed path prefix (int(want_rejection), j)
         accepted, records = experiments._accepted_instance, []
 
         def recording(w, rho, *args):
@@ -268,6 +264,19 @@ class TestPowerAndSize:
             monkeypatch.setattr(experiments, "critical_value", lambda n, rho, alpha: cut)
             report = size_experiment([100], [0.0], instances=20, master_seed=26, r=10)
             assert report.proportion(100, 0.0) == np.mean(null.values > cut), q
+
+    def test_one_records_run_gives_the_null_and_its_size(self, monkeypatch, w100):
+        # one run of accepted (M, estimated rho) records is both the null and,
+        # each M priced at its own estimated rho, the size of the cell
+        (records,) = experiments._accepted_records([(w100, 0.0)], False, 12, 10, 27, 1)
+        null = generate_null(100, 0.0, replicates=12, r=10, master_seed=27)
+        assert sorted(m for m, _ in records) == null.values.tolist()
+        cut = null.percentile(50)
+        monkeypatch.setattr(experiments, "critical_value", lambda n, rho, alpha: cut + 0.1 * rho)
+        priced = sum(m > cut + 0.1 * rho_hat for m, rho_hat in records) / 12
+        assert 0 < priced < 1
+        size = size_experiment([100], [0.0], instances=12, master_seed=27, r=10)
+        assert size.proportion(100, 0.0) == priced
 
     def test_report_json_and_csv(self):
         report = power_experiment([100], [0.0], instances=3, master_seed=14)

@@ -25,8 +25,6 @@ from smaup.experiments import _partitions
 from smaup.regionalize import (
     _bounded_draws,
     _grow,
-    regionalization_from_csv,
-    regionalization_to_csv,
 )
 from smaup.seeding import derive_seed
 
@@ -370,7 +368,3 @@ class TestPartitionType:
         with pytest.raises(CorruptPartitionError, match="is not contiguous") as excinfo:
             validate_regionalization(r, w)
         assert str(excinfo.value).startswith(f"region {split[0]} is not contiguous")
-
-    def test_csv_round_trip(self):
-        r = Regionalization(assignment=np.array([1, 0, 1, 2, 2]), k=3)
-        assert regionalization_from_csv(regionalization_to_csv(r)) == r

@@ -1,10 +1,15 @@
-"""Print the sha256 of the four acceptance-scale harness outputs.
+"""Print the sha256 of the four acceptance-scale harness outputs and of their payloads.
 
 Runs ``smaup null``, ``power``, ``size`` and ``effects`` at their acceptance
 scale with ``--seed 1``, once with ``--workers 1`` and once with ``--workers
 2``, each as a fresh process on the source tree given by ``--src`` (default:
 this repository's ``src``). Two trees whose random streams agree print the
 same digests; the two worker counts of one tree must agree as well.
+
+Next to each whole-file digest it prints a payload digest: the sha256 of the
+output's stream-bearing key (``values`` of the null, ``cells`` of power, size
+and effects) as compact, key-sorted JSON. A change to the artifact's other
+keys moves the whole-file digest but not the payload digest.
 
     python tools/stream_digest.py [--src PATH]
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,12 +34,17 @@ RUNS = {
 WORKERS = (1, 2)
 
 
-def digest(src: Path, args: list[str], workers: int, out: Path) -> str:
+def digest(src: Path, args: list[str], workers: int, out: Path) -> tuple[str, str]:
+    """Whole-file and payload sha256 of one run's output."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     cmd = [sys.executable, "-m", "smaup.cli", *args, "--seed", "1",
            "--workers", str(workers), "--out", str(out)]
     subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    data = out.read_bytes()
+    doc = json.loads(data)
+    payload = json.dumps(doc["values" if "values" in doc else "cells"], sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(data).hexdigest(), hashlib.sha256(payload.encode()).hexdigest()
 
 
 def main() -> int:
@@ -46,8 +57,8 @@ def main() -> int:
         for name, args in RUNS.items():
             digests = [digest(src, args, wk, Path(tmp) / f"{name}-{wk}.json") for wk in WORKERS]
             mismatched |= len(set(digests)) > 1
-            for wk, d in zip(WORKERS, digests):
-                print(f"{name:<8} workers={wk} {d}")
+            for wk, (whole, payload) in zip(WORKERS, digests):
+                print(f"{name:<8} workers={wk} {whole} payload={payload}")
     if mismatched:
         print("worker counts disagree", file=sys.stderr)
     return int(mismatched)
