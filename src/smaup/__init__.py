@@ -43,6 +43,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidKError,
     NumericalError,
+    RepeatedValueError,
     RetryExhaustedError,
     ShapeMismatchError,
     SmaupError,
@@ -162,6 +163,7 @@ __all__ = [
     "NumericalError",
     "RetryExhaustedError",
     "InvalidKError",
+    "RepeatedValueError",
     "ContiguityError",
     "CorruptPartitionError",
     "InsufficientDataError",

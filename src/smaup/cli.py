@@ -30,6 +30,7 @@ from .errors import (
     DegenerateSampleError,
     ExperimentStallError,
     NumericalError,
+    RepeatedValueError,
     RetryExhaustedError,
     SmaupError,
     UndefinedRatioError,
@@ -311,7 +312,7 @@ def _cmd_effects(args) -> int:
             raise ValueError(f"--cell must look like N:k1,k2,... got {cell!r}")
         n = int(head)
         if n in k_lists:
-            raise ValueError(f"--cell N={n} given twice; list all its ks in one N:k1,k2,...")
+            raise RepeatedValueError(f"--cell N={n} given twice; list all its ks in one N:k1,k2,...")
         k_lists[n] = tuple(_int_list(tail))
     config = EffectsConfig(
         k_lists=k_lists,

@@ -50,6 +50,10 @@ class InvalidKError(SmaupError, ValueError):
     """Requested region count k is outside [1, n]."""
 
 
+class RepeatedValueError(SmaupError, ValueError):
+    """A list of experiment cells names one N, rho or k twice."""
+
+
 class ContiguityError(SmaupError, ValueError):
     """The contiguity graph is disconnected, so contiguous growth cannot cover it."""
 

@@ -5,8 +5,10 @@ Every harness repeats one step, implemented once in :func:`_partitions`:
 grow r random partitions of the areas into k contiguous regions. The region
 seed of repeat ``rep`` is ``derive_seed(*seed_path, rep)``, derived only
 when that repeat is reached. It shares ``random_regions``'s growth loop but
-skips its validation. Its callers take each field's region means by
-``bincount`` and the field's share of Welch and Levene once per field.
+skips its validation. Its callers take region means by ``bincount``: the
+acceptance filter one aggregation at a time, since it stops at the first
+that decides it, and the effects harness all aggregations of an
+(instance, k) at once.
 
 The null, power and size harnesses share one instance recipe, set by one
 flag. A SAR field is drawn on a square rook lattice, a region count k is
@@ -22,8 +24,10 @@ which prevents livelock on pathological fields. One run,
 the null keeps the Ms, size and power price each M at its own estimated rho.
 
 The effects harness draws every rho field of an instance first. Then, for
-each k, it grows the instance's r partitions once and aggregates every rho
-field on each of them, feeding the means to the Welch and Levene tests.
+each k, it grows the instance's r partitions once and works on the F x r
+(field, repeat) rows as arrays: one offset ``bincount`` takes every row's
+region means, and RCM, RCV and one call of each test's kernel score all
+rows, each bit for bit what aggregating and testing that pair alone gives.
 
 Every random draw derives from the master seed and a seed path that names
 what the draw is, never where its cell sits in the run: (master seed,
@@ -51,7 +55,13 @@ import numpy as np
 from ._version import __version__ as _toolkit_version
 from .core import m_statistic
 from .critical_values import RHO_GRID, critical_value
-from .errors import CorruptPartitionError, ExperimentStallError, InvalidDimensionError, InvalidKError
+from .errors import (
+    CorruptPartitionError,
+    ExperimentStallError,
+    InvalidDimensionError,
+    InvalidKError,
+    RepeatedValueError,
+)
 from .regionalize import _check_growable, _grow
 from .sar import (
     SarSpec,
@@ -102,6 +112,17 @@ _STREAM_VERSION = 3
 _BASE_RHO = 0.9
 _TARGET_WINDOW = 0.5
 _TARGET_MAX_RETRIES = 200
+
+
+def _refuse_repeats(name: str, values, scope: str = "") -> None:
+    """Raise RepeatedValueError naming the first value of ``values`` that repeats
+    an earlier one: each copy would be simulated again as a cell of its own."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise RepeatedValueError(f"{name}={value} given twice{scope}")
+        seen.add(value)
+
 
 def lattice_for_area_count(n: int) -> SpatialWeights:
     """Square rook lattice with n areas; n must be a perfect square."""
@@ -349,8 +370,11 @@ def _rejection_experiment(
     r: int,
 ) -> PowerSizeReport:
     n_values = [int(n) for n in n_values]
+    rho_values = [float(rho) for rho in rho_values]
+    _refuse_repeats("N", n_values)
+    _refuse_repeats("rho", rho_values)
     lattices = {n: lattice_for_area_count(n) for n in n_values}
-    pairs = [(n, float(rho)) for n in n_values for rho in rho_values]
+    pairs = [(n, rho) for n in n_values for rho in rho_values]
     per_cell = _accepted_records([(lattices[n], rho) for n, rho in pairs], want_rejection,
                                  instances, r, master_seed, workers)
     cells = tuple(
@@ -409,7 +433,8 @@ class EffectsConfig:
     level solves its field from the instance's one set of innovations. In
     either mode the rho levels of an instance share one set of r partitions
     per k, and no seed path names an N, rho or k position, so a cell does not
-    depend on the other cells of the run. Every k must lie in [2, N].
+    depend on the other cells of the run. Every k must lie in [2, N], and no
+    rho level, or k of one N, may be given twice.
     """
 
     k_lists: dict[int, tuple[int, ...]]
@@ -422,7 +447,9 @@ class EffectsConfig:
     def __post_init__(self):
         if not self.k_lists or not all(self.k_lists.values()):
             raise InvalidKError(f"every N needs at least one k, got {self.k_lists}")
+        _refuse_repeats("rho", self.rho_values)
         for n, ks in self.k_lists.items():
+            _refuse_repeats("k", ks, f" for N={n}")
             for k in ks:
                 if not 2 <= k <= n:
                     raise InvalidKError(
@@ -512,14 +539,43 @@ class EffectsSummary:
         return "\n".join(lines) + "\n"
 
 
+def _effects_rows(values: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
+    """Aggregate F fields on r partitions into k regions and score every
+    (field, repeat) row against its field, all rows at once.
+
+    ``values`` is (F, n), ``labels`` (r, n) and ``sizes`` (r, k). Returns the
+    RCM and RCV, (F, r), and the Welch and Levene outcomes, whose statistics
+    and p-values are (F, r). Row (f, i) is, bit for bit, what aggregating
+    field f on partition i alone and testing the pair gives.
+    """
+    (n_fields, _), (r, k) = values.shape, sizes.shape
+    fields = values[:, None, :]  # (F, 1, n): broadcasts over the repeats
+    # row (f, i) owns bins (f r + i) k to (f r + i) k + k - 1 of one bincount
+    bins = labels + k * np.arange(n_fields * r).reshape(n_fields, r, 1)
+    sums = np.bincount(bins.ravel(), np.broadcast_to(fields, bins.shape).ravel())
+    means = sums.reshape(n_fields, r, k) / sizes
+    field_welch, means_welch = _welch_terms(fields), _welch_terms(means)
+    welch = _welch(*field_welch, *means_welch)
+    levene = _levene(*_levene_terms(fields), *_levene_terms(means))
+    (_, mean_o, _), (_, mean_ag, ss_ag) = field_welch, means_welch
+    var_o = values.var(-1, ddof=1, keepdims=True)
+    # zero-mean SAR fields make the signed-divisor relative change
+    # explode; divide by |mean| and flag it in run metadata
+    rcm = abs(mean_o - mean_ag) / abs(mean_o)
+    rcv = abs(var_o - ss_ag / (k - 1)) / var_o
+    return rcm, rcv, welch, levene
+
+
 def _effects_instance_task(args) -> dict:
     """One instance of the effects recipe on one lattice, across its rho and k
     cells: ``{(rho, k): (rcm_bar, rcv_bar, t_rejections, levene_rejections)}``.
 
-    Every rho field of the instance is drawn first; then, for each k, the r
-    partitions are grown once and every field is aggregated on each of them.
-    Its seed paths, (master seed, instance, role[, k, repeat]), are the same
-    on every lattice and at every rho level.
+    Every rho field of the instance is drawn first. Then, for each k, the r
+    partitions are grown once and :func:`_effects_rows` scores every field
+    on every partition in one array pass: one ``bincount`` for all region
+    means and one call of each test's kernel. Its seed paths, (master seed,
+    instance, role[, k, repeat]), are the same on every lattice and at every
+    rho level.
     """
     config, w, ks, instance = args
     master_seed = config.master_seed
@@ -536,28 +592,16 @@ def _effects_instance_task(args) -> dict:
             seed = derive_seed(master_seed, instance, _ROLE_TARGET_RHO)
             y = generate_with_target_rho(w, base, target=rho, window=_TARGET_WINDOW,
                                          max_retries=_TARGET_MAX_RETRIES, seed=seed)
-        fields.append((y.values, float(y.values.mean()), float(y.values.var(ddof=1)),
-                       _welch_terms(y.values), _levene_terms(y.values)))
+        fields.append(y.values)
+    values = np.stack(fields)
     out: dict[tuple[float, int], tuple] = {}
     for k in ks:
-        repeats = [[] for _ in fields]
         seed_path = (master_seed, instance, _ROLE_REGIONS, k)
-        for labels, sizes in _partitions(w, k, seed_path, config.r):
-            for (values, mu_o, var_o, y_welch, y_levene), tally in zip(fields, repeats):
-                means = np.bincount(labels, values) / sizes
-                means_welch = _welch_terms(means)
-                _, mean_ag, ss_ag = means_welch
-                # zero-mean SAR fields make the signed-divisor relative change
-                # explode; divide by |mean| and flag it in run metadata
-                tally.append((
-                    abs(mu_o - mean_ag) / abs(mu_o),
-                    abs(var_o - ss_ag / (k - 1)) / var_o,
-                    _welch(*y_welch, *means_welch).rejects(_FILTER_ALPHA),
-                    _levene(*y_levene, *_levene_terms(means)).rejects(_FILTER_ALPHA),
-                ))
-        for rho, tally in zip(config.rho_values, repeats):
-            rcms, rcvs, t_rej, lev_rej = zip(*tally)
-            out[(rho, k)] = (mean_over_repeats(rcms), mean_over_repeats(rcvs), sum(t_rej), sum(lev_rej))
+        labels, sizes = map(np.stack, zip(*_partitions(w, k, seed_path, config.r)))
+        rcm, rcv, welch, levene = _effects_rows(values, labels, sizes)
+        t_rej, lev_rej = (test.rejects(_FILTER_ALPHA).sum(axis=1) for test in (welch, levene))
+        for rho, rcms, rcvs, t, lev in zip(config.rho_values, rcm, rcv, t_rej, lev_rej):
+            out[(rho, k)] = (mean_over_repeats(rcms), mean_over_repeats(rcvs), int(t), int(lev))
     return out
 
 

@@ -12,7 +12,10 @@ wrappers spend most of each call on argument handling. ``scipy.stats.levene``
 and ``scipy.stats.ttest_ind(equal_var=False)`` remain the oracles the tests
 compare against. This module never imports ``scipy.stats``, and it loads
 ``scipy.special`` only when a test first runs, which keeps scipy off the
-``import smaup`` path.
+``import smaup`` path. The private kernels behind the two public tests also
+take arrays: the per-sample terms are taken along the last axis, and the
+terms of a sample may be arrays of rows, so one call scores many pairs and
+gives each pair's statistic and p-value bit for bit as a call on that pair.
 
 Conventions: variances are sample variances (divisor n-1) everywhere. The
 relative-change-in-mean ratio divides by the signed original mean exactly as
@@ -23,7 +26,6 @@ divides by |mean| instead and flags the deviation in its metadata).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -48,7 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Statistic and two-sided p-value of a two-sample test."""
+    """Statistic and two-sided p-value of a two-sample test.
+
+    The private kernels return arrays of them, one per pair, when they are
+    given arrays of terms; ``rejects`` then decides pair by pair.
+    """
 
     statistic: float
     p_value: float
@@ -57,15 +63,27 @@ class TestOutcome:
         return self.p_value < alpha
 
 
-def _outcome(statistic: float, p_value: float) -> TestOutcome:
+def _outcome(statistic, p_value) -> TestOutcome:
+    if isinstance(p_value, np.ndarray):
+        return TestOutcome(statistic, np.clip(p_value, 0.0, 1.0))
     return TestOutcome(statistic=float(statistic), p_value=float(min(max(p_value, 0.0), 1.0)))
 
 
-def _mean_and_ss(x: np.ndarray) -> tuple[float, float]:
-    """Mean of a float vector and the sum of squared deviations from it."""
-    mean = float(x.sum()) / x.size
-    dev = x - mean
-    return mean, float(dev @ dev)
+def _anywhere(mask) -> bool:
+    """Whether a comparison of terms holds for one pair, or for any pair of an array."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _mean_and_ss(x: np.ndarray):
+    """Mean along the last axis and the sum of squared deviations from it.
+
+    ``vecdot`` takes each row's sum as ``row @ row`` does (BLAS ddot), so a
+    row of an array gets the bits of a call on that row alone; ``einsum``
+    and ``(dev * dev).sum(-1)`` sum in another order.
+    """
+    mean = np.add.reduce(x, -1) / x.shape[-1]
+    dev = x - mean[..., None]
+    return mean, np.vecdot(dev, dev)
 
 
 def descriptives(x) -> tuple[float, float]:
@@ -122,17 +140,17 @@ def _sample(x) -> np.ndarray:
     return arr
 
 
-def _welch_terms(x: np.ndarray) -> tuple[int, float, float]:
-    """One sample's share of Welch's test: size, mean, squared deviations."""
+def _welch_terms(x: np.ndarray):
+    """One sample's share of Welch's test, along the last axis: size, mean, squared deviations."""
     if not np.all(np.isfinite(x)):
         raise DegenerateSampleError("samples must be finite")
-    return (x.size, *_mean_and_ss(x))
+    return (x.shape[-1], *_mean_and_ss(x))
 
 
 def _welch(na, mean_a, ss_a, nb, mean_b, ss_b) -> TestOutcome:
     import scipy.special
 
-    if ss_a == 0.0 and ss_b == 0.0:
+    if _anywhere((ss_a == 0.0) & (ss_b == 0.0)):
         raise DegenerateSampleError("both samples have zero variance")
     # squared standard errors of the two means, and their shares of the total
     se2_a = ss_a / (na - 1) / na
@@ -140,7 +158,7 @@ def _welch(na, mean_a, ss_a, nb, mean_b, ss_b) -> TestOutcome:
     se2 = se2_a + se2_b
     fa, fb = se2_a / se2, se2_b / se2
     df = 1.0 / (fa * fa / (na - 1) + fb * fb / (nb - 1))
-    t = (mean_a - mean_b) / math.sqrt(se2)
+    t = (mean_a - mean_b) / np.sqrt(se2)
     return _outcome(t, 2.0 * scipy.special.stdtr(df, -abs(t)))
 
 
@@ -155,22 +173,32 @@ def welch_t_test(a, b) -> TestOutcome:
     return _welch(*_welch_terms(a), *_welch_terms(b))
 
 
-def _levene_terms(x: np.ndarray) -> tuple[int, float, float, float, float]:
-    """One sample's share of Levene's test: size, mean, squared deviations, min, max of |x - mean|."""
-    z = np.abs(x - x.sum() / x.size)
-    return (z.size, *_mean_and_ss(z), z.min(), z.max())
+def _levene_terms(x: np.ndarray):
+    """One sample's share of Levene's test, along the last axis: size, mean,
+    squared deviations, min and max of the scores |x - mean|."""
+    z = np.abs(x - (np.add.reduce(x, -1) / x.shape[-1])[..., None])
+    return (z.shape[-1], *_mean_and_ss(z), np.minimum.reduce(z, -1), np.maximum.reduce(z, -1))
 
 
 def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestOutcome:
     import scipy.special
 
-    if lo_a == hi_a == lo_b == hi_b:
+    if _anywhere((lo_a == hi_a) & (hi_a == lo_b) & (lo_b == hi_b)):
         raise DegenerateSampleError("all deviation scores are identical in both groups")
     z_bar = (na * za_bar + nb * zb_bar) / (na + nb)
-    between = na * (za_bar - z_bar) ** 2 + nb * (zb_bar - z_bar) ** 2
+    # d * d, not d ** 2: a scalar's ** 2 calls libm pow, which can round
+    # otherwise than the product an array's ** 2 takes
+    da, db = za_bar - z_bar, zb_bar - z_bar
+    between = na * (da * da) + nb * (db * db)
     within = ss_a + ss_b
     dfd = na + nb - 2
-    stat = math.inf if within == 0.0 else dfd * between / within
+    scaled = dfd * between
+    # where no score varies within either group F is infinite: set it so
+    # rather than divide by zero
+    flat = within == 0.0
+    if _anywhere(flat):
+        scaled, within = np.where(flat, np.inf, scaled), np.where(flat, 1.0, within)
+    stat = scaled / within
     return _outcome(stat, scipy.special.fdtrc(1.0, dfd, stat))
 
 

@@ -381,6 +381,27 @@ class TestExperimentsCommands:
         assert "N=100 given twice" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (["size", "--n", "100,100", "--rhos=0"], "N=100 given twice"),
+        (["power", "--n", "100", "--rhos=0,0.5,0"], "rho=0.0 given twice"),
+        (["effects", "--cell", "100:12,12", "--rhos=0"], "k=12 given twice for N=100"),
+        (["effects", "--cell", "100:12", "--rhos=0,-0.0"], "rho=-0.0 given twice"),
+    ], ids=["size-n", "power-rho", "effects-k", "effects-rho"])
+    def test_repeated_value_exit_2(self, monkeypatch, tmp_path, capsys, args, named):
+        # a repeated N, rho or k used to be simulated once per copy
+        from smaup import experiments
+
+        def no_run(*_):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_fan_out", no_run)
+        out = tmp_path / "o.json"
+        code, _, err = run([*args, "--instances", "1", "--r", "1", "--seed", "1",
+                            "--workers", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert named in err
+        assert not out.exists()
+
     def test_stall_exit_4(self, monkeypatch, capsys):
         from smaup import experiments
 

@@ -5,14 +5,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from smaup import (
     ContiguityError,
     CorruptPartitionError,
+    DegenerateSampleError,
     EffectsConfig,
     ExperimentStallError,
     InvalidKError,
     NullDistribution,
+    RepeatedValueError,
     build_lattice_rook,
     critical_value,
     effects_experiment,
@@ -27,12 +30,13 @@ from smaup import (
 from smaup import experiments
 from smaup.experiments import (
     _accepted_instance,
+    _effects_rows,
     _partitions,
 )
 from smaup.regionalize import aggregate_mean, random_regions
 from smaup.sar import SarSpec
 from smaup.seeding import derive_seed
-from smaup.stats import levene_test
+from smaup.stats import _welch_terms, levene_test, welch_t_test
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +282,17 @@ class TestPowerAndSize:
         size = size_experiment([100], [0.0], instances=12, master_seed=27, r=10)
         assert size.proportion(100, 0.0) == priced
 
+    @pytest.mark.parametrize("runner", [power_experiment, size_experiment])
+    def test_repeated_n_or_rho_rejected(self, monkeypatch, runner):
+        def no_run(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_fan_out", no_run)
+        with pytest.raises(RepeatedValueError, match="N=100 given twice"):
+            runner([100, 25, 100], [0.0], instances=1, r=1)
+        with pytest.raises(RepeatedValueError, match="rho=0.0 given twice"):
+            runner([100], [0, 0.0], instances=1, r=1)
+
     def test_report_json_and_csv(self):
         report = power_experiment([100], [0.0], instances=3, master_seed=14)
         doc = json.loads(report.to_json())
@@ -386,6 +401,14 @@ class TestEffects:
         assert sorted(grown) == [12] * 6 + [53] * 6 + [90] * 6
         assert summary.metadata["stream_version"] == 3
 
+    def test_repeated_rho_or_k_rejected(self):
+        # a copy would be simulated again as a cell of its own, and
+        # EffectsSummary.cell would only ever return the first
+        for k_lists, rho_values, named in (({100: (12, 53, 12)}, (0.0,), "k=12 given twice for N=100"),
+                                           ({100: (12,)}, (0.0, 0.9, 0.0), "rho=0.0 given twice")):
+            with pytest.raises(RepeatedValueError, match=named):
+                EffectsConfig(k_lists=k_lists, rho_values=rho_values, instances=1)
+
     def test_worker_independence(self):
         config = EffectsConfig(
             k_lists={100: (12, 90)}, rho_values=(0.0, 0.9),
@@ -394,6 +417,68 @@ class TestEffects:
         a = effects_experiment(config, workers=1)
         b = effects_experiment(config, workers=2)
         assert a.to_json() == b.to_json()
+
+
+class TestEffectsRows:
+    """The effects harness scores all (field, repeat) rows of an (instance, k)
+    in one array pass; each row is what the per-pair path gives."""
+
+    @pytest.fixture(scope="class")
+    def passes(self):
+        # the inputs and results of every array pass of one effects instance
+        seen = []
+
+        def recording(values, labels, sizes):
+            seen.append(((values, labels, sizes), _effects_rows(values, labels, sizes)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_effects_rows", recording)
+            effects_experiment(EffectsConfig(k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9),
+                                             instances=1, r=5, master_seed=3))
+        return seen
+
+    def test_rows_equal_the_public_tests_bit_for_bit(self, passes):
+        assert [sizes.shape for (_, _, sizes), _ in passes] == [(5, 12), (5, 53), (5, 90)]
+        for (values, labels, sizes), (rcm, rcv, welch, levene) in passes:
+            k = sizes.shape[1]
+            for (f, i), _ in np.ndenumerate(rcm):
+                y, means = values[f], np.bincount(labels[i], values[f]) / sizes[i]
+                _, mean_ag, ss_ag = _welch_terms(means)
+                assert rcm[f, i] == abs(y.mean() - mean_ag) / abs(y.mean())
+                assert rcv[f, i] == abs(y.var(ddof=1) - ss_ag / (k - 1)) / y.var(ddof=1)
+                for batched, test in ((welch, welch_t_test), (levene, levene_test)):
+                    out = test(y, means)
+                    assert (batched.statistic[f, i], batched.p_value[f, i]) == (out.statistic, out.p_value)
+
+    def test_rows_match_scipy(self, passes):
+        for (values, labels, sizes), (_, _, welch, levene) in passes:
+            for (f, i), _ in np.ndenumerate(welch.p_value):
+                y, means = values[f], np.bincount(labels[i], values[f]) / sizes[i]
+                for batched, ref in ((welch, scipy.stats.ttest_ind(y, means, equal_var=False)),
+                                     (levene, scipy.stats.levene(y, means, center="mean"))):
+                    assert batched.statistic[f, i] == pytest.approx(ref.statistic, rel=1e-10, abs=0.0)
+                    assert batched.p_value[f, i] == pytest.approx(ref.pvalue, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("field", ["constant", "constant scores"])
+    def test_a_degenerate_row_raises(self, passes, field):
+        # a constant field has no spread against constant means (Welch); a
+        # checkerboard of -1 and 1 on one-area regions has scores that are
+        # all 1 in both groups (Levene)
+        (values, labels, sizes), _ = passes[0]
+        if field == "constant":
+            values = np.vstack([values, np.full(values.shape[1], 2.5)])
+        else:
+            side = 10
+            values = np.vstack([values, np.indices((side, side)).sum(axis=0).ravel() % 2 * 2.0 - 1.0])
+            labels = np.tile(np.arange(side * side), (2, 1))
+            sizes = np.ones((2, side * side), dtype=np.int64)
+        public, message = (welch_t_test, "zero variance") if field == "constant" else (levene_test, "identical")
+        with pytest.raises(DegenerateSampleError, match=message):
+            _effects_rows(values, labels, sizes)
+        y = values[-1]
+        with pytest.raises(DegenerateSampleError, match=message):
+            public(y, np.bincount(labels[0], y) / sizes[0])
 
 
 def payload_sha256(result) -> str:

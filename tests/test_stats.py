@@ -359,6 +359,51 @@ class TestPerSampleTerms:
         self.assert_reuse_matches_public(field, self.DEGENERATE)
 
 
+@st.composite
+def field_and_rows(draw):
+    """A field and 1-8 rows of k <= 100 values, none degenerate against it. A
+    flat draw makes the field's scores constant ([0, 2]) and gives row 0
+    constant scores of another size, so that row has no within-group spread
+    at all; it draws no tied row, which could repeat the field's scores."""
+    flat = draw(st.booleans())
+    k = 2 * draw(st.integers(1, 50)) if flat else draw(st.integers(2, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loc = draw(st.sampled_from([0.0, -3.5, 1e3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    rows = loc + scale * rng.standard_normal((draw(st.integers(1, 8)), k))
+    if flat:
+        rows[0] = np.tile([0.0, 4.0], k // 2)
+        return np.array([0.0, 2.0]), rows, flat
+    if draw(st.booleans()):
+        rows[-1] = loc + scale * rng.integers(0, 3, k)  # ties
+    return loc + scale * rng.standard_normal(draw(st.integers(2, 200))), rows, flat
+
+
+class TestArrayTerms:
+    """Given arrays of rows, the private kernels score every row in one call,
+    and each row's figures are those of a call on that row alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_and_rows())
+    def test_rows_equal_scalar_calls(self, drawn):
+        field, rows, flat = drawn
+        for terms, test in ((_welch_terms, _welch), (_levene_terms, _levene)):
+            row_terms = terms(rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batched = test(*terms(field), *row_terms)
+            assert batched.statistic.shape == batched.p_value.shape == (len(rows),)
+            for i, row in enumerate(rows):
+                one = terms(row)
+                assert [np.asarray(t)[i] if np.ndim(t) else t for t in row_terms] == list(one)
+                out = test(*terms(field), *one)
+                assert (batched.statistic[i], batched.p_value[i]) == (out.statistic, out.p_value)
+        if flat:
+            # scores [1, 1] against [2, ..., 2]: F is infinite, as levene_test gives it
+            assert (batched.statistic[0], batched.p_value[0]) == (math.inf, 0.0)
+            assert levene_test(field, rows[0]).statistic == math.inf
+
+
 @pytest.mark.parametrize("case", ["import-smaup", "import-cli", "weights-command", "test-command"])
 def test_scipy_loads_only_where_called(tmp_path, case):
     # scipy is imported by the functions that call it: importing the package,
