@@ -65,7 +65,6 @@ from .regionalize import (
     Regionalization,
     aggregate_mean,
     random_regions,
-    validate_regionalization,
 )
 from .sar import (
     AreaVariable,
@@ -115,7 +114,6 @@ __all__ = [
     "AggregatedVariable",
     "random_regions",
     "aggregate_mean",
-    "validate_regionalization",
     # stats
     "TestOutcome",
     "descriptives",

@@ -218,7 +218,7 @@ def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
     """
     _check_growable(w, k)
     for rep in range(r):
-        labels = np.array(_grow(w.neighbors, w.n, k, derive_seed(*seed_path, rep)))
+        labels = np.fromiter(_grow(w.neighbors, w.n, k, derive_seed(*seed_path, rep)), np.int64, w.n)
         sizes = np.bincount(labels)
         if sizes.size != k or sizes.min() < 1:
             raise CorruptPartitionError(f"grown partition does not use all {k} region labels")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .sar import AreaVariable
+from .seeding import _seed_sequence
 from .weights import SpatialWeights, is_connected
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "AggregatedVariable",
     "random_regions",
     "aggregate_mean",
-    "validate_regionalization",
     "regionalization_to_csv",
 ]
 
@@ -39,8 +40,8 @@ class Regionalization:
     """A partition of n areas into k labeled regions.
 
     ``assignment[i]`` is the region label of area i, in [0, k). Labels must
-    all be used; contiguity is checked against a weights object by
-    :func:`validate_regionalization`.
+    all be used. Contiguity is not checked: :func:`random_regions` grows
+    contiguous regions by construction.
     """
 
     assignment: np.ndarray
@@ -108,40 +109,34 @@ class AggregatedVariable:
         return self.region_means.shape[0]
 
 
-def _bounded_draws(rng: np.random.Generator, block: int):
-    """Return ``draw(m)``, uniform on [0, m), equal to ``int(rng.integers(m))``.
+def _raw_words(rng: np.random.Generator, block: int):
+    """Return ``word()``, the Generator's next 32-bit word, as
+    ``int(rng.integers(0, 2**32, dtype=np.uint32))`` would return it.
 
-    The Generator's 32-bit words are read ``block`` at a time and mapped by
-    numpy's bounded rule (Lemire 2019): for m >= 2 take ``x * m``, reject
-    while its low 32 bits are below ``(2**32 - m) % m``, and return its top
-    32 bits. A range of 1 reads no word.
+    numpy splits each 64-bit PCG64 output into its low, then its high half,
+    and keeps a high half that a 32-bit draw left unused for the next one.
+    ``word()`` serves that buffered half first, then the halves of
+    ``bit_generator.random_raw`` outputs, read ``block`` outputs at a time.
     """
-    words: list[int] = []
-    pos = 0
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    buffered = [state["uinteger"]] if state["has_uint32"] else []
 
-    def draw(m: int) -> int:
-        nonlocal words, pos
-        if m == 1:
-            return 0
-        while True:
-            if pos == len(words):
-                words = rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
-                pos = 0
-            x = words[pos] * m
-            pos += 1
-            low = x & 0xFFFFFFFF
-            if low >= m or low >= (0x100000000 - m) % m:
-                return x >> 32
+    def fill():
+        return bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
 
-    return draw
+    return chain(buffered, chain.from_iterable(iter(fill, None))).__next__
 
 
 def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
     """Region labels of :func:`random_regions`, for k and a graph already checked.
 
     A region's frontier is listed when it is first picked: until then it is its
-    seed alone, whose unassigned neighbours are exactly its frontier."""
-    rng = np.random.default_rng(seed)
+    seed alone, whose unassigned neighbours are exactly its frontier. Each
+    pick from m > 1 choices is numpy's bounded draw (Lemire 2019): take
+    ``x = word * m``, redraw while its low 32 bits are below
+    ``(2**32 - m) % m``, and use its top 32 bits."""
+    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
     seeds = rng.choice(n, size=k, replace=False).tolist()
     assignment = [-1] * n
     for region, area in enumerate(seeds):
@@ -154,10 +149,16 @@ def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
                 break
     # frontiers[r]: None until r is first picked, then its sorted frontier (rows ascend)
     frontiers: list[list[int] | None] = [None] * k
-    draw = _bounded_draws(rng, 2 * (n - k) + 16)
+    word = _raw_words(rng, n - k + 8)
     remaining = n - k
     while remaining and active:
-        pos = draw(len(active))
+        m = len(active)
+        pos = 0
+        if m > 1:
+            x = word() * m
+            while (x & 0xFFFFFFFF) < m and (x & 0xFFFFFFFF) < (0x100000000 - m) % m:
+                x = word() * m
+            pos = x >> 32
         region = active[pos]
         frontier = frontiers[region]
         if frontier is None:
@@ -165,7 +166,14 @@ def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
         if not frontier:
             active.pop(pos)
             continue
-        area = frontier[draw(len(frontier))]
+        m = len(frontier)
+        i = 0
+        if m > 1:
+            x = word() * m
+            while (x & 0xFFFFFFFF) < m and (x & 0xFFFFFFFF) < (0x100000000 - m) % m:
+                x = word() * m
+            i = x >> 32
+        area = frontier.pop(i)
         assignment[area] = region
         remaining -= 1
         for j in neighbors[area]:
@@ -174,8 +182,8 @@ def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
                 i = bisect_left(frontier, j)
                 if i == len(frontier) or frontier[i] != j:
                     frontier.insert(i, j)
-            else:
-                # area left the frontier of every listed region it touches
+            elif owner != region:
+                # area left the frontier of every other listed region it touches
                 owned = frontiers[owner]
                 if owned is not None:
                     i = bisect_left(owned, area)
@@ -200,8 +208,13 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     ``np.random.default_rng(seed)``, every region pick and every area pick is
     one bounded draw on the Generator's 32-bit words, exactly as
     ``rng.integers(m)`` would make it, and a range of 1 draws nothing. The
-    assignment thus depends only on (w, k, seed) and on numpy's PCG64,
-    ``choice`` and bounded-integer rules.
+    Generator is built as ``Generator(PCG64(SeedSequence(words)))`` from the
+    seed's uint32 words, the state ``default_rng(seed)`` gives. The words are
+    those ``rng.integers(0, 2**32, dtype=np.uint32)`` returns, read off
+    ``bit_generator.random_raw``: the low, then the high half of each 64-bit
+    output, after any half-word ``choice`` left buffered. The assignment thus
+    depends only on (w, k, seed) and on numpy's PCG64, ``choice`` and
+    bounded-integer rules.
 
     Raises
     ------
@@ -219,29 +232,6 @@ def _check_growable(w: SpatialWeights, k: int) -> None:
         raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
     if not is_connected(w):
         raise ContiguityError("contiguous regions are impossible on a disconnected graph")
-
-
-def validate_regionalization(r: Regionalization, w: SpatialWeights) -> None:
-    """Raise CorruptPartitionError unless every region is internally connected."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    if r.n != w.n:
-        raise ShapeMismatchError(f"partition covers {r.n} areas but weights has n={w.n}")
-    # with the edges between regions masked out, every component lies inside
-    # one region, so the partition is contiguous iff there are exactly k
-    edges = w.sparse.tocoo()
-    inside = r.assignment[edges.row] == r.assignment[edges.col]
-    masked = sp.coo_matrix((edges.data[inside], (edges.row[inside], edges.col[inside])), edges.shape)
-    count, component = connected_components(masked)
-    if count != r.k:
-        first_areas = np.unique(component, return_index=True)[1]
-        region = int(np.flatnonzero(np.bincount(r.assignment[first_areas], minlength=r.k) > 1)[0])
-        members = np.flatnonzero(r.assignment == region)
-        reached = np.count_nonzero(component == component[members[0]])
-        raise CorruptPartitionError(
-            f"region {region} is not contiguous ({reached} of {members.size} reachable)"
-        )
 
 
 def aggregate_mean(y: AreaVariable, r: Regionalization) -> AggregatedVariable:

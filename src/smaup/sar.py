@@ -278,6 +278,9 @@ def _log_det_function(w: SpatialWeights):
     COLAMD column ordering is computed once, by the first such evaluation.
     Later evaluations factor the column-permuted matrix in natural order,
     which yields the same U bit for bit without reordering.
+
+    It sets no floating-point error state; :func:`estimate_rho` sets one per
+    search, not one per evaluation.
     """
     bounds = None if w.standardized else _eigenvalue_range(w)
     if _has_spectrum(w):
@@ -287,9 +290,8 @@ def _log_det_function(w: SpatialWeights):
         def log_det(rho: float) -> float:
             if bounds is not None and not _stable(rho, *bounds):
                 return -math.inf
-            with np.errstate(invalid="ignore", divide="ignore"):
-                terms = np.log(np.abs(1.0 - rho * lam)) if complex_spectrum else np.log1p(-rho * lam)
-                return float(np.sum(terms))
+            terms = np.log(np.abs(1.0 - rho * lam)) if complex_spectrum else np.log1p(-rho * lam)
+            return float(np.sum(terms))
 
         return log_det
 
@@ -390,9 +392,13 @@ def estimate_rho(w: SpatialWeights, y: AreaVariable) -> float:
     if np.ptp(vals) == 0.0:
         raise DegenerateInputError("cannot estimate rho of a constant variable")
     loglik = _concentrated_loglik_terms(w, vals)
-    rho_hat = _golden_section_max(loglik, _RHO_SEARCH_LO, _RHO_SEARCH_HI, _RHO_SEARCH_TOL)
-    if not math.isfinite(loglik(rho_hat)):
-        raise DegenerateInputError("likelihood is non-finite at the optimum")
+    # one error state for the whole search: a log-determinant term 1 - rho * lambda
+    # <= 0 (rounding at the edge of the stability interval) or a zero diagonal of
+    # U gives -inf or nan, which loglik already treats as infinitely unlikely
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho_hat = _golden_section_max(loglik, _RHO_SEARCH_LO, _RHO_SEARCH_HI, _RHO_SEARCH_TOL)
+        if not math.isfinite(loglik(rho_hat)):
+            raise DegenerateInputError("likelihood is non-finite at the optimum")
     return float(rho_hat)
 
 

@@ -1,5 +1,7 @@
 """Tests for random contiguous aggregation and mean aggregation."""
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -19,12 +21,12 @@ from smaup import (
     from_adjacency_text,
     generate_sar,
     random_regions,
-    validate_regionalization,
 )
+from smaup import regionalize
 from smaup.experiments import _partitions
 from smaup.regionalize import (
-    _bounded_draws,
     _grow,
+    _raw_words,
 )
 from smaup.seeding import derive_seed
 
@@ -52,24 +54,38 @@ def union_find_region_check(assignment, neighbors, k) -> bool:
     return all(len(roots) == 1 for roots in roots_per_label.values())
 
 
-def reference_random_regions(w, k, seed):
+def lemire_draws(word):
+    """Oracle: ``draw(m)`` by numpy's bounded rule (Lemire 2019) on the 32-bit
+    words ``word()`` supplies, as ``int(rng.integers(m))`` makes it."""
+    def draw(m):
+        if m == 1:
+            return 0
+        while True:
+            x = word() * m
+            if x & 0xFFFFFFFF >= (2**32 - m) % m:
+                return x >> 32
+    return draw
+
+
+def reference_random_regions(w, k, seed, draws=None):
     """Oracle: the set-based seed growth that ``random_regions`` replaced.
 
-    Each step draws with scalar ``rng.integers`` and sorts the region's
-    lazily cleaned frontier set; ``random_regions`` must give the same
-    assignment for every (w, k, seed).
+    Each step draws with scalar ``rng.integers`` (or ``draws(rng)`` after the
+    seeds are chosen) and sorts the region's lazily cleaned frontier set;
+    ``random_regions`` must give the same assignment for every (w, k, seed).
     """
     n = w.n
     rng = np.random.default_rng(seed)
     assignment = np.full(n, -1, dtype=np.int64)
     seeds = rng.choice(n, size=k, replace=False)
+    draw = draws(rng) if draws else lambda m: int(rng.integers(m))
     for region, area in enumerate(seeds):
         assignment[area] = region
     frontiers = [{j for j in w.neighbors[area] if assignment[j] < 0} for area in seeds]
     active = [r for r in range(k) if frontiers[r]]
     remaining = n - k
     while remaining and active:
-        pos = int(rng.integers(len(active)))
+        pos = draw(len(active))
         region = active[pos]
         frontier = frontiers[region]
         frontier.difference_update([a for a in frontier if assignment[a] >= 0])
@@ -77,7 +93,7 @@ def reference_random_regions(w, k, seed):
             active.pop(pos)
             continue
         ordered = sorted(frontier)
-        area = ordered[int(rng.integers(len(ordered)))]
+        area = ordered[draw(len(ordered))]
         frontier.discard(area)
         assignment[area] = region
         remaining -= 1
@@ -136,7 +152,7 @@ class TestRandomRegions:
     def test_varied_k_validity(self, w10, k):
         for seed in range(25):
             r = random_regions(w10, k, seed=seed)
-            validate_regionalization(r, w10)
+            assert_regions_connected_by_networkx(w10, r.assignment, k)
             assert union_find_region_check(r.assignment, w10.neighbors, k)
 
     def test_invalid_k(self, w10):
@@ -191,11 +207,44 @@ class TestRegionStream:
         assert "".join(map(str, got.tolist())) == labels
 
     def test_bounded_draws_equal_generator_integers(self):
+        # the oracle of the inlined draw, on _grow's word supply, is numpy's
+        # rule; 2**31 + 1 rejects about half of its words
         ranges = [1, 2, 3, 7, 100, 2**31 + 1, 2**32 - 1, 3 * 2**30] * 40
-        expected = np.random.default_rng(9)
-        # a block of 3 words forces a refill every few draws
-        draw = _bounded_draws(np.random.default_rng(9), block=3)
+        rng, expected = np.random.default_rng(9), np.random.default_rng(9)
+        for g in (rng, expected):
+            g.choice(50, size=7, replace=False)
+        # a block of 3 outputs forces a refill every few draws
+        draw = lemire_draws(_raw_words(rng, 3))
         assert [draw(m) for m in ranges] == [int(expected.integers(m)) for m in ranges]
+
+    @pytest.mark.parametrize("n, k, buffered", [(100, 12, 1), (12000, 6000, 0)])
+    def test_raw_words_continue_the_generator(self, n, k, buffered):
+        # after choice, a high half-word may be left buffered; it comes first
+        for seed in range(5):
+            rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+            for g in (rng, expected):
+                g.choice(n, size=k, replace=False)
+            assert rng.bit_generator.state["has_uint32"] == buffered
+            word = _raw_words(rng, 4)
+            got = [word() for _ in range(21)]
+            assert got == expected.integers(0, 2**32, size=21, dtype=np.uint32).tolist()
+
+    @pytest.mark.parametrize("name", ["lattice7x13", "delaunay300"])
+    def test_inlined_draw_redraws_as_numpy(self, name, monkeypatch):
+        # PCG64 words almost never fall in the redraw zone of a small range,
+        # but a zero word does for every m that is not a power of two: with a
+        # zero in every third word both pick sites redraw, as the oracle does
+        def with_zeros(rng, block):
+            word, served = _raw_words(rng, block), itertools.count()
+            return lambda: 0 if next(served) % 3 == 0 else word()
+
+        w = ORACLE_GRAPHS[name]()
+        monkeypatch.setattr(regionalize, "_raw_words", with_zeros)
+        for k in (2, 5, w.n // 3, w.n - 2):
+            for seed in ORACLE_SEEDS[:4]:
+                expected = reference_random_regions(
+                    w, k, seed, draws=lambda rng: lemire_draws(with_zeros(rng, 4)))
+                assert _grow(w.neighbors, w.n, k, seed) == expected.tolist(), (k, seed)
 
 
 @st.composite
@@ -335,36 +384,3 @@ class TestPartitionType:
     def test_labels_must_be_in_range(self):
         with pytest.raises(CorruptPartitionError):
             Regionalization(assignment=np.array([0, 1, 5]), k=2)
-
-    def test_validate_flags_split_region(self):
-        w = build_lattice_rook(1, 5)
-        # label 0 at both ends, label 1 in the middle: region 0 disconnected
-        r = Regionalization(assignment=np.array([0, 1, 1, 1, 0]), k=2)
-        with pytest.raises(CorruptPartitionError, match="not contiguous"):
-            validate_regionalization(r, w)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1))
-    def test_validate_agrees_with_networkx(self, data, w, seed):
-        # grown partitions, grown ones with one area relabelled, and labels
-        # drawn independently: contiguous and split regions both occur
-        k = data.draw(st.integers(1, w.n))
-        labels = random_regions(w, k, seed=seed).assignment.copy()
-        mode = data.draw(st.sampled_from(["grown", "relabelled", "random"]))
-        if mode == "relabelled":
-            labels[data.draw(st.integers(0, w.n - 1))] = data.draw(st.integers(0, k - 1))
-        elif mode == "random":
-            labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=w.n, max_size=w.n)))
-            labels[data.draw(st.permutations(range(w.n)))[:k]] = np.arange(k)
-        if np.unique(labels).size < k:
-            return  # relabelling emptied a region; not a partition into k
-        r = Regionalization(assignment=labels, k=k)
-        graph = networkx_graph(w)
-        split = [g for g in range(k)
-                 if not nx.is_connected(graph.subgraph(np.flatnonzero(labels == g).tolist()))]
-        if not split:
-            validate_regionalization(r, w)
-            return
-        with pytest.raises(CorruptPartitionError, match="is not contiguous") as excinfo:
-            validate_regionalization(r, w)
-        assert str(excinfo.value).startswith(f"region {split[0]} is not contiguous")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,51 @@ def ring(n, forward, backward):
         for i, row in enumerate(neighbors)
     )
     return SpatialWeights(n=n, neighbors=neighbors, weights=weights, standardized=False)
+
+
+LOG_DET_WEIGHTS = {
+    "standardized": lambda: build_lattice_rook(10, 10),
+    "binary": lambda: build_lattice_rook(10, 10, standardized=False),
+    "complex": lambda: independent_rows(10, 0),
+    "ring": lambda: ring(11, 1.8, 0.2),
+}
+
+
+class TestLogDetErrorState:
+    """The spectrum log-determinant sets no floating-point error state of its
+    own; ``estimate_rho`` sets one per search. Values pinned from the code
+    that set one per evaluation."""
+
+    @pytest.mark.parametrize("name, digest, rho, rho_hat", [
+        ("standardized", "b82987e2c2a811b6", 0.3, "0x1.06d9e47beffc3p-2"),
+        ("binary", "708341124fb34b8a", 0.2, "0x1.7f52573e7b285p-3"),
+        ("complex", "8dcb1b7fdc4af070", 0.3, "0x1.fd3a106956498p-3"),
+        ("ring", "30af18bb4cc8b01d", None, None),
+    ])
+    def test_bitwise_as_before_and_no_warning_escapes(self, name, digest, rho, rho_hat):
+        w = LOG_DET_WEIGHTS[name]()
+        log_det = _log_det_function(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.array([log_det(r) for r in np.linspace(-0.999, 0.999, 1001)])
+            if rho is not None:
+                got = estimate_rho(w, generate_sar(w, SarSpec(rho=rho, seed=4)))
+                assert got.hex() == rho_hat
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
+
+    def test_search_silences_a_log_of_a_negative_term(self):
+        # a cached spectrum holding lambda = 2, which no standardized W has,
+        # makes 1 - rho * lambda negative past rho = 0.5, where the search goes
+        w = build_lattice_rook(10, 10)
+        lam = w_eigenvalues(w).copy()
+        lam[-1] = 2.0
+        w.__dict__["_sar_eigenvalues"] = lam
+        y = generate_sar(w, SarSpec(rho=0.9, seed=1))
+        with pytest.warns(RuntimeWarning):
+            _log_det_function(w)(0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_rho(w, y) <= 0.5
 
 
 class TestComplexSpectrum:
