@@ -2,13 +2,14 @@
 distributions, and power/size estimation for the sensitivity test.
 
 Every harness repeats one step, implemented once in :func:`_partitions`:
-grow r random partitions of the areas into k contiguous regions. The region
-seed of repeat ``rep`` is ``derive_seed(*seed_path, rep)``, derived only
-when that repeat is reached. It shares ``random_regions``'s growth loop but
-skips its validation. Its callers take region means by ``bincount``: the
-acceptance filter one aggregation at a time, since it stops at the first
-that decides it, and the effects harness all aggregations of an
-(instance, k) at once.
+grow r random partitions of the areas into k contiguous regions. A seed
+path names one PCG64 stream, the bit generator ``derive_rng(*seed_path)``
+wraps, and repeat ``rep`` reads it from where ``bitgen.jumped(rep)``
+starts, grown only when that repeat is reached (the draw contract of
+``regionalize``). It shares ``random_regions``'s growth loop but skips its
+validation. Its callers take region means by ``bincount``: the acceptance
+filter one aggregation at a time, since it stops at the first that decides
+it, and the effects harness all aggregations of an (instance, k) at once.
 
 The null, power and size harnesses share one instance recipe, set by one
 flag. A SAR field is drawn on a square rook lattice, a region count k is
@@ -33,7 +34,8 @@ Every random draw derives from the master seed and a seed path that names
 what the draw is, never where its cell sits in the run: (master seed,
 [recipe tag,] instance, role, counters within the instance). Null, power and
 size key instance j on (int(want_rejection), j), so size prices the null's
-own instances; effects keys its draws on (instance, role[, k, repeat]). The
+own instances; effects keys its draws on (instance, role[, k]). The
+partitions of a region path are its stream's substreams, one per repeat. The
 cells of a run share their instances' seeds (common random numbers, Glasserman
 & Yao 1992): no cell depends on the others, and each cell's own distribution
 is unchanged.
@@ -102,10 +104,11 @@ _ROLE_REGIONS = 2
 _ROLE_BASE_FIELD = 3
 _ROLE_TARGET_RHO = 4
 
-# Version of the harnesses' random streams, recorded in the power/size and
-# effects artifacts. 2: one set of partitions per (instance, k) serves every
-# rho level. 3: no seed path names a cell's place in the run (module docstring).
-_STREAM_VERSION = 3
+# Version of the harnesses' random streams, recorded in every harness
+# artifact. 2: one set of partitions per (instance, k) serves every rho level.
+# 3: no seed path names a cell's place in the run (module docstring). 4: the
+# repeats of a seed path are substreams of one PCG64 (``regionalize``).
+_STREAM_VERSION = 4
 
 # Effects recipe in rho-isolation mode: the base field's rho, and the window
 # and attempt budget of the rank-matching permutation toward every other rho.
@@ -181,6 +184,7 @@ class NullDistribution:
             "replicates": self.replicates,
             "r_aggregations": self.r_aggregations,
             "seed": self.master_seed,
+            "stream_version": _STREAM_VERSION,
             "values": [float(v) for v in self.values],
         }
 
@@ -211,14 +215,17 @@ class NullDistribution:
 def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
     """Yield the labels and region sizes of r random partitions of ``w`` into k regions.
 
-    Repeat ``rep`` grows its regions from ``derive_seed(*seed_path, rep)``,
-    derived when the consumer asks for that repeat. The labels are those of
-    ``random_regions(w, k, seed)``, and ``np.bincount(labels, y.values) / sizes``
-    are the region means of ``aggregate_mean``, bit for bit.
+    One PCG64, in the state ``derive_rng(*seed_path)`` wraps, serves every
+    repeat: repeat ``rep`` grows its regions from where ``bitgen.jumped(rep)``
+    starts, when the consumer asks for it, and a repeat never asked for draws
+    nothing. The labels keep ``random_regions``'s draw contract, and
+    ``np.bincount(labels, y.values) / sizes`` are the region means of
+    ``aggregate_mean``, bit for bit.
     """
     _check_growable(w, k)
-    for rep in range(r):
-        labels = np.fromiter(_grow(w.neighbors, w.n, k, derive_seed(*seed_path, rep)), np.int64, w.n)
+    bitgen = derive_rng(*seed_path).bit_generator
+    for _ in range(r):
+        labels = np.fromiter(_grow(w.neighbors, w.n, k, bitgen), np.int64, w.n)
         sizes = np.bincount(labels)
         if sizes.size != k or sizes.min() < 1:
             raise CorruptPartitionError(f"grown partition does not use all {k} region labels")
@@ -574,7 +581,7 @@ def _effects_instance_task(args) -> dict:
     partitions are grown once and :func:`_effects_rows` scores every field
     on every partition in one array pass: one ``bincount`` for all region
     means and one call of each test's kernel. Its seed paths, (master seed,
-    instance, role[, k, repeat]), are the same on every lattice and at every
+    instance, role[, k]), are the same on every lattice and at every
     rho level.
     """
     config, w, ks, instance = args

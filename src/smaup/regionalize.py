@@ -6,6 +6,25 @@ neighbor until every area is assigned. Each region is contiguous by
 construction. Aggregation uses the unweighted mean of member areas. One
 growth loop serves :func:`random_regions` and, without its validation, the
 Monte Carlo kernel ``experiments._partitions``; both keep its draw contract.
+
+Draw contract (stream version 4). Growth reads one PCG64 bit generator, and
+partition ``rep`` of a stream reads it from where ``bitgen.jumped(rep)``
+starts, ``rep`` times numpy's PCG64 jump of (golden ratio - 1) * 2**128
+outputs on: the streams-and-substreams layout of L'Ecuyer et al. (2002) on
+PCG64's jump-ahead (O'Neill 2014). Substreams spaced by a power of two are
+correlated on PCG64's underlying LCG, whose multiplier raised to 2**j is 1
+modulo 2**(j + 2); the golden-ratio jump is not. Within a substream:
+
+- the seeds are ``np.argsort(bitgen.random_raw(n), kind="stable")[:k]``, in
+  that order: a uniform ordered k-subset, with a tie between two 64-bit keys
+  (probability below n**2 / 2**65) broken by area index;
+- every later region pick and area pick from m > 1 choices is numpy's
+  bounded draw (Lemire 2019) on the 32-bit halves of the outputs that
+  follow, low half first, as ``Generator(bitgen).integers(m)`` makes it;
+  a range of 1 draws nothing;
+- growth then advances the bit generator to the start of the next
+  substream, so a partition depends on (stream, rep) alone. Outputs are
+  read in blocks whose size moves no stream.
 """
 
 from __future__ import annotations
@@ -23,7 +42,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .sar import AreaVariable
-from .seeding import _seed_sequence
 from .weights import SpatialWeights, is_connected
 
 __all__ = [
@@ -33,6 +51,10 @@ __all__ = [
     "aggregate_mean",
     "regionalization_to_csv",
 ]
+
+# Outputs of one bit generator reserved for each partition grown from it:
+# the step of numpy's ``PCG64.jumped``, (golden ratio - 1) * 2**128.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 @dataclass(frozen=True)
@@ -109,35 +131,27 @@ class AggregatedVariable:
         return self.region_means.shape[0]
 
 
-def _raw_words(rng: np.random.Generator, block: int):
-    """Return ``word()``, the Generator's next 32-bit word, as
-    ``int(rng.integers(0, 2**32, dtype=np.uint32))`` would return it.
-
-    numpy splits each 64-bit PCG64 output into its low, then its high half,
-    and keeps a high half that a 32-bit draw left unused for the next one.
-    ``word()`` serves that buffered half first, then the halves of
-    ``bit_generator.random_raw`` outputs, read ``block`` outputs at a time.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    buffered = [state["uinteger"]] if state["has_uint32"] else []
-
-    def fill():
-        return bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
-
-    return chain(buffered, chain.from_iterable(iter(fill, None))).__next__
-
-
-def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
-    """Region labels of :func:`random_regions`, for k and a graph already checked.
+def _grow(neighbors, n: int, k: int, bitgen: np.random.PCG64) -> list[int]:
+    """Region labels of :func:`random_regions`, for k and a graph already checked,
+    grown from ``bitgen``'s next substream (module docstring).
 
     A region's frontier is listed when it is first picked: until then it is its
     seed alone, whose unassigned neighbours are exactly its frontier. Each
     pick from m > 1 choices is numpy's bounded draw (Lemire 2019): take
     ``x = word * m``, redraw while its low 32 bits are below
     ``(2**32 - m) % m``, and use its top 32 bits."""
-    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
-    seeds = rng.choice(n, size=k, replace=False).tolist()
+    block = n - k + 8  # outputs per read of pick words; moves no stream
+    fills = 0
+
+    def fill():
+        nonlocal fills
+        fills += 1
+        return bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
+
+    raw = bitgen.random_raw(n + block)
+    seeds = np.argsort(raw[:n], kind="stable")[:k].tolist()
+    first = raw[n:].astype("<u8", copy=False).view("<u4").tolist()
+    word = chain(first, chain.from_iterable(iter(fill, None))).__next__
     assignment = [-1] * n
     for region, area in enumerate(seeds):
         assignment[area] = region
@@ -149,7 +163,6 @@ def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
                 break
     # frontiers[r]: None until r is first picked, then its sorted frontier (rows ascend)
     frontiers: list[list[int] | None] = [None] * k
-    word = _raw_words(rng, n - k + 8)
     remaining = n - k
     while remaining and active:
         m = len(active)
@@ -191,6 +204,7 @@ def _grow(neighbors, n: int, k: int, seed: int) -> list[int]:
                         del owned[i]
         if not frontier:
             active.pop(pos)
+    bitgen.advance(_JUMP - n - block * (fills + 1))
     return assignment
 
 
@@ -204,17 +218,14 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     claim empties its frontier, or when it is picked with a frontier that
     other regions' claims emptied. Deterministic under a fixed seed.
 
-    Draw contract: after ``rng.choice`` draws the seeds from
-    ``np.random.default_rng(seed)``, every region pick and every area pick is
-    one bounded draw on the Generator's 32-bit words, exactly as
-    ``rng.integers(m)`` would make it, and a range of 1 draws nothing. The
-    Generator is built as ``Generator(PCG64(SeedSequence(words)))`` from the
-    seed's uint32 words, the state ``default_rng(seed)`` gives. The words are
-    those ``rng.integers(0, 2**32, dtype=np.uint32)`` returns, read off
-    ``bit_generator.random_raw``: the low, then the high half of each 64-bit
-    output, after any half-word ``choice`` left buffered. The assignment thus
-    depends only on (w, k, seed) and on numpy's PCG64, ``choice`` and
-    bounded-integer rules.
+    The regions are repeat 0 of the module's draw contract on
+    ``np.random.PCG64(seed)``, the bit generator ``default_rng(seed)`` wraps:
+    the seeds are the first k areas of the stable ``argsort`` of its first n
+    raw outputs, and every later pick is numpy's bounded draw, as
+    ``Generator(bitgen).integers(m)`` makes it, on the 32-bit halves of the
+    outputs that follow, low half first; a range of 1 draws nothing. The
+    assignment thus depends only on (w, k, seed) and on numpy's PCG64 and
+    its bounded-integer rule.
 
     Raises
     ------
@@ -224,7 +235,8 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
         If the contiguity graph is disconnected.
     """
     _check_growable(w, k)
-    return Regionalization(assignment=np.array(_grow(w.neighbors, w.n, k, seed)), k=k)
+    assignment = _grow(w.neighbors, w.n, k, np.random.PCG64(seed))
+    return Regionalization(assignment=np.array(assignment), k=k)
 
 
 def _check_growable(w: SpatialWeights, k: int) -> None:

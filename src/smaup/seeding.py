@@ -2,7 +2,7 @@
 
 Every random draw in the toolkit flows from one 64-bit master seed. Child
 seeds are derived from the master seed plus an integer path that names what
-the draw is (recipe tag, instance, role, repeat, ...; never a cell's place in
+the draw is (recipe tag, instance, role, attempt, ...; never a cell's place in
 the run) via :class:`numpy.random.SeedSequence` spawn keys, so a result never
 depends on scheduling order, worker count or the other cells of a run.
 

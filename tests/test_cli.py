@@ -496,29 +496,29 @@ ARTIFACTS = {
         "p.csv": "e32e65cab509aab383ea690883997ab54fa210e90d0e0e385cb2ac925f6cecca"}),
     "aggregate": (["aggregate", *INPUTS, "--k", "7", "--seed", "2", "--regions-out", "r.csv",
                    "--out", "m.csv"], {
-        "r.csv": "86ce858d6cdb844fd2f951ab7b899c42933b4f19a57054abfe88133d9b9c8598",
-        "m.csv": "9eff9f837bf683f4806d6d209ba1d7f583398f27ac9f8f986414c243af5aef8c"}),
+        "r.csv": "b7086f0e065099b22fd9f4f44222c8b890f588764b9bea271e925eeb1d9c23cc",
+        "m.csv": "77c2e5165a96b6a0c2506ee193ebbf3768f677ce3d937afb90c0bf2692fc9427"}),
     "test-json": (["test", *INPUTS, "--k", "30", "--json", "t.json"], {
         "t.json": "d7fe717ec06aef79fd53f3910c68e4545bf777f6a3c2f426be1ad481ecd38a48"}),
     "test-null-json": (["test", *INPUTS, "--k", "30", "--rho", "0", "--null", "null.json",
                         "--json", "t.json"], {
-        "t.json": "c1105f9add0414e9efd7bff762dd8a0c57c9b81cc4b1e6d02c29169502d80fce"}),
+        "t.json": "f6d48a7714f9587aeaaa35197094ad035afbfe94ef0c51df694a70a54e3a7c07"}),
     "scan-json": (["scan", *INPUTS, "--k-min", "28", "--k-max", "32", "--json", "s.json"], {
         "s.json": "77bf2424c501b8c5e50a2cf9c03bc35c2050879c2fa73b95d380736bdd7520b1"}),
     "null": (SETUP[2], {
-        "null.json": "c618f587dcae150b4e4a1f0f9626cf6c098d3f61d8ac2ae0ca94306224335ee5"}),
+        "null.json": "0d7cd8c832842cc74713e4077ca93cf6c1170a539e4c8169de98f0393772ca5f"}),
     "power-json": (["power", *SMALL_CELLS, "--out", "o.json"], {
-        "o.json": "6fc1401399d12772f020935b42f961f98e687de84093f2718064ca724b8b66ab"}),
+        "o.json": "d07fa1cc4cf6e9921869823ceeada4752a3a2f37db0889cf66ad8e01f30d6973"}),
     "power-csv": (["power", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
         "o.csv": "855e6b17e027a0c62a3739e3a7054cff3ecce1186044742c7cb92f229e10cf39"}),
     "size-json": (["size", *SMALL_CELLS, "--out", "o.json"], {
-        "o.json": "91d787e48ce3ceae4581e7fe5720393139d18e28e942c12dafa88edbc09a15e5"}),
+        "o.json": "66119a964d849e6b60bac9e1680c276d3a85df733597d971d02325a6d8fca2f5"}),
     "size-csv": (["size", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
         "o.csv": "50e650ae52600f9583ec526d0c5a7558b314664b77ec0bb0b75a9daf5a95fe28"}),
     "effects-json": ([*EFFECTS, "--out", "o.json"], {
-        "o.json": "5f5993fa12234247676f9563fb86a88e3abfcd07ce4ab0cf01946ecbdc26f78b"}),
+        "o.json": "89cb0eefc45cb87b5268315fc029d4cf6aded400f4f96f7f3069e2f9fa086ccb"}),
     "effects-csv": ([*EFFECTS, "--format", "csv", "--out", "o.csv"], {
-        "o.csv": "b0eadcf04ab6767f6b011415fdde7a0bcc464d2b3a49a0e0ac40925f6e298381"}),
+        "o.csv": "482ebe0263ee2982a3f9b6dadec58ebeee8ee1c24054c1f213863d9dbb72617b"}),
     "export-critical-values": (["export-critical-values", "--out", "cv.csv"], {
         "cv.csv": "4a8d87cbd1dd59bf3a02ba75ccf3a3a99efb77e8fa362cc48f9610df24d189e5"}),
 }

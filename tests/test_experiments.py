@@ -33,9 +33,9 @@ from smaup.experiments import (
     _effects_rows,
     _partitions,
 )
-from smaup.regionalize import aggregate_mean, random_regions
+from smaup.regionalize import Regionalization, _grow, aggregate_mean
 from smaup.sar import SarSpec
-from smaup.seeding import derive_seed
+from smaup.seeding import derive_rng
 from smaup.stats import _welch_terms, levene_test, welch_t_test
 
 
@@ -69,7 +69,15 @@ class TestNullDistribution:
         assert doc["replicates"] == 4
         assert doc["r_aggregations"] == 10
         assert doc["seed"] == 4
+        assert doc["stream_version"] == 4
         assert doc["values"] == sorted(doc["values"])
+
+    def test_loads_a_file_without_stream_version(self):
+        # null files written before the key was added still load
+        nd = generate_null(100, 0.0, replicates=3, master_seed=3)
+        doc = nd.to_dict()
+        del doc["stream_version"]
+        assert NullDistribution.from_dict(doc) == nd
 
     def test_accepts_weights_object(self, w100):
         a = generate_null(w100, 0.0, replicates=3, master_seed=5)
@@ -93,7 +101,7 @@ class TestAcceptanceRecipe:
         for seed in range(40):
             y = generate_sar(w100, SarSpec(rho=0.0, seed=seed))
             k = 11 + seed % 88
-            # repeat seeds derive_seed(seed, rep), rep < 5
+            # repeats 0-4 of the stream of seed path (seed,)
             rejections = [levene_test(y.values, np.bincount(labels, y.values) / sizes).rejects(0.05)
                           for labels, sizes in _partitions(w100, k, (seed,), 5)]
             assert len(rejections) == 5
@@ -104,33 +112,39 @@ class TestAcceptanceRecipe:
         assert hits > 0  # the sweep exercised both outcomes
 
     def test_kernel_pins_region_stream(self, w100):
+        # repeat rep grows from the path's PCG64 jumped rep times, on its own
         y = generate_sar(w100, SarSpec(rho=0.3, seed=11))
         path = (11, 0, 3, experiments._ROLE_REGIONS, 2, 7)
         got = list(_partitions(w100, 23, path, 6))
         assert len(got) == 6
         for rep, (labels, sizes) in enumerate(got):
-            regions = random_regions(w100, 23, seed=derive_seed(*path, rep))
+            bitgen = derive_rng(*path).bit_generator.jumped(rep)
+            regions = Regionalization(np.array(_grow(w100.neighbors, w100.n, 23, bitgen)), 23)
             eager = aggregate_mean(y, regions)
             assert np.array_equal(labels, regions.assignment)
             assert np.array_equal(sizes, eager.region_sizes)
             assert np.array_equal(np.bincount(labels, y.values) / sizes, eager.region_means)
 
-    def test_kernel_derives_seeds_on_demand(self, w100, monkeypatch):
-        derived = []
+    def test_kernel_draws_only_the_repeats_read(self, w100, monkeypatch):
+        # one bit generator per call; reading repeats 0-1 leaves it where
+        # repeat 2 starts, so a filter that stops early draws nothing more
+        built = []
 
-        def counting(*path):
-            derived.append(path)
-            return derive_seed(*path)
+        def recording(*path):
+            built.append((path, derive_rng(*path)))
+            return built[-1][1]
 
-        monkeypatch.setattr(experiments, "derive_seed", counting)
+        monkeypatch.setattr(experiments, "derive_rng", recording)
         kernel = _partitions(w100, 20, (1, 2), 30)
         next(kernel)
         next(kernel)
-        assert derived == [(1, 2, 0), (1, 2, 1)]
+        ((path, rng),) = built
+        assert path == (1, 2)
+        assert rng.bit_generator.state == derive_rng(1, 2).bit_generator.jumped(2).state
 
     def test_kernel_guards_the_partition(self, w100, monkeypatch):
         # a grower that leaves a label unused must not reach Levene or Welch
-        monkeypatch.setattr(experiments, "_grow", lambda neighbors, n, k, seed: [0] * (n - 1) + [2])
+        monkeypatch.setattr(experiments, "_grow", lambda neighbors, n, k, bitgen: [0] * (n - 1) + [2])
         with pytest.raises(CorruptPartitionError):
             next(_partitions(w100, 3, (1,), 1))
 
@@ -143,8 +157,8 @@ class TestAcceptanceRecipe:
             next(_partitions(split, 2, (1,), 1))
 
     @pytest.mark.parametrize("want_rejection, k, trials, rho_hat", [
-        (False, 61, 6, -0.13540828322856058),
-        (True, 14, 8, -0.0964718841671182),
+        (False, 79, 7, -0.13540828322856058),
+        (True, 20, 11, -0.0964718841671182),
     ], ids=["never-reject", "always-reject"])
     def test_accepted_instance_pinned(self, w100, want_rejection, k, trials, rho_hat):
         # pinned figures: they move only if a seed path or random stream changes
@@ -299,7 +313,7 @@ class TestPowerAndSize:
         assert doc["kind"] == "power"
         assert doc["alpha"] == 0.05
         assert doc["instances"] == 3
-        assert doc["stream_version"] == 3
+        assert doc["stream_version"] == 4
         csv = report.to_csv()
         assert csv.splitlines()[0] == "rho,k_or_N,metric,value"
         assert ",100,power," in csv.splitlines()[1]
@@ -390,16 +404,16 @@ class TestEffects:
         # instances x |ks| x r growths, whatever the number of rho levels
         grow, grown = experiments._grow, []
 
-        def counting(neighbors, n, k, seed):
+        def counting(neighbors, n, k, bitgen):
             grown.append(k)
-            return grow(neighbors, n, k, seed)
+            return grow(neighbors, n, k, bitgen)
 
         monkeypatch.setattr(experiments, "_grow", counting)
         config = EffectsConfig(k_lists={100: (12, 53, 90)}, rho_values=rho_values,
                                instances=2, r=3, master_seed=24)
         summary = effects_experiment(config)
         assert sorted(grown) == [12] * 6 + [53] * 6 + [90] * 6
-        assert summary.metadata["stream_version"] == 3
+        assert summary.metadata["stream_version"] == 4
 
     def test_repeated_rho_or_k_rejected(self):
         # a copy would be simulated again as a cell of its own, and
@@ -489,15 +503,15 @@ def payload_sha256(result) -> str:
 
 @pytest.mark.parametrize("name, run, sha256", [
     ("null", lambda: generate_null(100, 0.0, replicates=20, master_seed=1),
-     "b3f8818190bf7c992435c35a7f80493f2d96ba2c6a138a895ac039b4320dcbe2"),
+     "dd33855d0bc684a961b800bd23236e7895e99c50c1de9fdac19386db30d0257e"),
     ("power", lambda: power_experiment([100], [0.0], instances=15, master_seed=1),
-     "fb58a7bde5ad4e9cc778e7a7cfa06a32d503dbf679979bc921dfdebeb470745c"),
+     "99737556bf77b699e9d5f7f0847f47a3348a050221ab12eedd78e22f33da6dca"),
     ("size", lambda: size_experiment([100], [0.0], instances=20, master_seed=1),
-     "7cfe7dfef5d4516e01b7ddb63272aedc699537c9decd59db5e47b08c20492ad6"),
+     "3a7da43a0cf6c9346568dd3ddb4e966bd03496a03703f95f281035b596fc7964"),
     ("effects", lambda: effects_experiment(EffectsConfig(
         k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
         master_seed=1)),
-     "5f6cbc548d5c49d299908bebaa616956f710732a2188f9b2ddbb997a51f4a990"),
+     "0c0d63f5eeb37598558ccaf7803382c7530ad7d0142154cad96f02a79f3c78e5"),
 ], ids=["null", "power", "size", "effects"])
 def test_payload_bytes_pinned(name, run, sha256):
     # any change of a random stream or of a reported figure moves these digests

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.stats
 from scipy.spatial import Delaunay
 
 from smaup import (
@@ -22,13 +23,8 @@ from smaup import (
     generate_sar,
     random_regions,
 )
-from smaup import regionalize
 from smaup.experiments import _partitions
-from smaup.regionalize import (
-    _grow,
-    _raw_words,
-)
-from smaup.seeding import derive_seed
+from smaup.regionalize import _grow
 
 
 def union_find_region_check(assignment, neighbors, k) -> bool:
@@ -54,9 +50,20 @@ def union_find_region_check(assignment, neighbors, k) -> bool:
     return all(len(roots) == 1 for roots in roots_per_label.values())
 
 
+def raw_words(bitgen):
+    """``word()``: the 32-bit halves of ``bitgen``'s raw outputs, read one
+    output at a time, low half first."""
+    def halves():
+        while True:
+            out = int(bitgen.random_raw())
+            yield out & 0xFFFFFFFF
+            yield out >> 32
+    return halves().__next__
+
+
 def lemire_draws(word):
     """Oracle: ``draw(m)`` by numpy's bounded rule (Lemire 2019) on the 32-bit
-    words ``word()`` supplies, as ``int(rng.integers(m))`` makes it."""
+    words ``word()`` supplies, as ``int(Generator(bitgen).integers(m))`` makes it."""
     def draw(m):
         if m == 1:
             return 0
@@ -67,18 +74,26 @@ def lemire_draws(word):
     return draw
 
 
-def reference_random_regions(w, k, seed, draws=None):
-    """Oracle: the set-based seed growth that ``random_regions`` replaced.
+def generator_draws(bitgen):
+    """``draw(m)``: numpy's own ``int(Generator(bitgen).integers(m))``."""
+    rng = np.random.Generator(bitgen)
+    return lambda m: int(rng.integers(m))
 
-    Each step draws with scalar ``rng.integers`` (or ``draws(rng)`` after the
-    seeds are chosen) and sorts the region's lazily cleaned frontier set;
-    ``random_regions`` must give the same assignment for every (w, k, seed).
+
+def reference_random_regions(w, k, bitgen, draws=generator_draws):
+    """Oracle: the set-based seed growth that ``random_regions`` replaced, on
+    the draw contract of stream version 4.
+
+    The seeds are the stable argsort of ``bitgen``'s next n raw outputs;
+    each later step draws with ``draws(bitgen)``, by default numpy's scalar
+    ``Generator(bitgen).integers``, and sorts the region's lazily cleaned
+    frontier set. ``random_regions(w, k, seed)`` must give its assignment on
+    ``PCG64(seed)``.
     """
     n = w.n
-    rng = np.random.default_rng(seed)
     assignment = np.full(n, -1, dtype=np.int64)
-    seeds = rng.choice(n, size=k, replace=False)
-    draw = draws(rng) if draws else lambda m: int(rng.integers(m))
+    seeds = np.argsort(bitgen.random_raw(n), kind="stable")[:k]
+    draw = draws(bitgen)
     for region, area in enumerate(seeds):
         assignment[area] = region
     frontiers = [{j for j in w.neighbors[area] if assignment[j] < 0} for area in seeds]
@@ -179,6 +194,33 @@ ORACLE_GRAPHS = {
 ORACLE_SEEDS = [0, 1, 2] + np.random.default_rng(63).integers(0, 2**63 - 1, size=5).tolist()
 
 
+def path_stream(path, rep):
+    """Repeat ``rep``'s substream of seed path ``path``: numpy's own
+    ``jumped(rep)`` of the PCG64 on numpy's own SeedSequence of the path."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=path[0], spawn_key=path[1:])).jumped(rep)
+
+
+class ZeroedWords:
+    """A PCG64 whose every third 32-bit output half (counted from the start,
+    low half first) reads 0: a word in the redraw zone of every range m that
+    is not a power of two, which PCG64 words almost never are."""
+
+    def __init__(self, seed):
+        self.bitgen, self.served = np.random.PCG64(seed), 0
+
+    def random_raw(self, size=None):
+        out = self.bitgen.random_raw(1 if size is None else size)
+        halves = out.astype("<u8").view("<u4").copy()
+        halves[(-2 * self.served) % 3::3] = 0
+        self.served += out.size
+        out = halves.view("<u8").astype(np.uint64)
+        return out if size is not None else out[0]
+
+    def advance(self, delta):
+        self.bitgen.advance(delta)
+        self.served += delta
+
+
 class TestRegionStream:
     """The growth consumes one fixed random stream: pinned by the set-based
     oracle and by assignments recorded from it."""
@@ -190,61 +232,83 @@ class TestRegionStream:
         for k in sorted({1, 2, max(1, n // 10), max(1, n // 2), n - 1, n} - {0}):
             for seed in ORACLE_SEEDS:
                 got = random_regions(w, k, seed=seed).assignment
-                assert np.array_equal(got, reference_random_regions(w, k, seed)), (k, seed)
+                expected = reference_random_regions(w, k, np.random.PCG64(seed))
+                assert np.array_equal(got, expected), (k, seed)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_kernel_repeats_match_reference(self, name):
+        # repeat i of a seed path is the oracle on the path's PCG64 jumped i times
+        w = ORACLE_GRAPHS[name]()
+        n = w.n
+        for k in sorted({1, 2, max(1, n // 10), max(1, n // 2), n - 1, n} - {0}):
+            for seed in ORACLE_SEEDS[:3]:
+                path = (seed, 0, 2, k)
+                for rep, (labels, _) in enumerate(_partitions(w, k, path, 6)):
+                    expected = reference_random_regions(w, k, path_stream(path, rep))
+                    assert np.array_equal(labels, expected), (k, seed, rep)
 
     @pytest.mark.parametrize("shape, k, seed, labels", [
-        ((3, 1), 2, 0, "001"),
-        ((4, 4), 3, 5, "2221011101110000"),
+        ((3, 1), 2, 0, "110"),
+        ((4, 4), 3, 5, "2200210011101111"),
         ((7, 13), 9, 2**62 + 12345,
-         "1110000222222166660002222266666666222223444555662777333355552277733388855577773888888855777"),
+         "2255555881111222533388811122253338111012277733611001224777661100024447466660002444444466000"),
         ((10, 10), 7, 33,
-         "4444444444444444433311414543331111554333166665432311165555221105555522110005552211000522221100000022"),
-    ])
+         "6660044444666000044466660044446200004444220003414122223331112222333111252231311155553111115555511111"),
+    ], ids=["lattice3x1-k2", "lattice4x4-k3", "lattice7x13-k9", "lattice10x10-k7"])
     def test_recorded_assignments(self, shape, k, seed, labels):
-        # recorded from the scalar-draw implementation; a change inside numpy's
-        # bounded integers would move both the oracle and this function
+        # recorded from the oracle; a change inside numpy's PCG64 or bounded
+        # integers would move both the oracle and this function
         got = random_regions(build_lattice_rook(*shape), k, seed=seed).assignment
         assert "".join(map(str, got.tolist())) == labels
 
+    def test_seed_orders_uniform(self):
+        # k = n = 4 on a 2x2 lattice: the labels are the seed order, so each of
+        # the 24 orders must come up about 1,000 times in 24,000 partitions
+        w = build_lattice_rook(2, 2)
+        counts = {}
+        for labels, _ in _partitions(w, 4, (5,), 24_000):
+            order = tuple(labels.tolist())
+            counts[order] = counts.get(order, 0) + 1
+        assert sorted(counts) == sorted(itertools.permutations(range(4)))
+        observed = np.array(list(counts.values()))
+        assert scipy.stats.chisquare(observed).pvalue > 1e-3
+        assert observed.min() > 850 and observed.max() < 1150
+
+    def test_ties_broken_by_area_index(self):
+        # a tie between two 64-bit keys (probability below n**2 / 2**65) falls
+        # to the stable sort: with keys area % 3, the seeds are the areas of
+        # key 0, then of key 1, then of key 2, each in area order
+        class TiedKeys:
+            def random_raw(self, size=None):
+                return (np.arange(size) % 3).astype(np.uint64)
+
+            def advance(self, delta):
+                pass
+
+        w = build_lattice_rook(10, 10)
+        labels = _grow(w.neighbors, w.n, w.n, TiedKeys())
+        seeds = [labels.index(region) for region in range(w.n)]
+        assert seeds == [area for key in range(3) for area in range(key, w.n, 3)]
+
     def test_bounded_draws_equal_generator_integers(self):
-        # the oracle of the inlined draw, on _grow's word supply, is numpy's
-        # rule; 2**31 + 1 rejects about half of its words
+        # the redraw test's oracle is numpy's rule on the halves of raw
+        # outputs; 2**31 + 1 rejects about half of its words
         ranges = [1, 2, 3, 7, 100, 2**31 + 1, 2**32 - 1, 3 * 2**30] * 40
-        rng, expected = np.random.default_rng(9), np.random.default_rng(9)
-        for g in (rng, expected):
-            g.choice(50, size=7, replace=False)
-        # a block of 3 outputs forces a refill every few draws
-        draw = lemire_draws(_raw_words(rng, 3))
+        draw = lemire_draws(raw_words(np.random.PCG64(9)))
+        expected = np.random.Generator(np.random.PCG64(9))
         assert [draw(m) for m in ranges] == [int(expected.integers(m)) for m in ranges]
 
-    @pytest.mark.parametrize("n, k, buffered", [(100, 12, 1), (12000, 6000, 0)])
-    def test_raw_words_continue_the_generator(self, n, k, buffered):
-        # after choice, a high half-word may be left buffered; it comes first
-        for seed in range(5):
-            rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
-            for g in (rng, expected):
-                g.choice(n, size=k, replace=False)
-            assert rng.bit_generator.state["has_uint32"] == buffered
-            word = _raw_words(rng, 4)
-            got = [word() for _ in range(21)]
-            assert got == expected.integers(0, 2**32, size=21, dtype=np.uint32).tolist()
-
     @pytest.mark.parametrize("name", ["lattice7x13", "delaunay300"])
-    def test_inlined_draw_redraws_as_numpy(self, name, monkeypatch):
-        # PCG64 words almost never fall in the redraw zone of a small range,
-        # but a zero word does for every m that is not a power of two: with a
-        # zero in every third word both pick sites redraw, as the oracle does
-        def with_zeros(rng, block):
-            word, served = _raw_words(rng, block), itertools.count()
-            return lambda: 0 if next(served) % 3 == 0 else word()
-
+    def test_inlined_draw_redraws_as_numpy(self, name):
+        # a zero in every third word makes both pick sites redraw, as the
+        # oracle does; the zeros sit at fixed places of the output stream,
+        # whatever blocks _grow reads it in
         w = ORACLE_GRAPHS[name]()
-        monkeypatch.setattr(regionalize, "_raw_words", with_zeros)
         for k in (2, 5, w.n // 3, w.n - 2):
             for seed in ORACLE_SEEDS[:4]:
                 expected = reference_random_regions(
-                    w, k, seed, draws=lambda rng: lemire_draws(with_zeros(rng, 4)))
-                assert _grow(w.neighbors, w.n, k, seed) == expected.tolist(), (k, seed)
+                    w, k, ZeroedWords(seed), draws=lambda bitgen: lemire_draws(raw_words(bitgen)))
+                assert _grow(w.neighbors, w.n, k, ZeroedWords(seed)) == expected.tolist(), (k, seed)
 
 
 @st.composite
@@ -274,7 +338,7 @@ class TestRandomConnectedGraphs:
         assert r.assignment.shape == (w.n,)
         assert np.unique(r.assignment).tolist() == list(range(k))
         assert union_find_region_check(r.assignment, w.neighbors, k)
-        assert np.array_equal(r.assignment, reference_random_regions(w, k, seed))
+        assert np.array_equal(r.assignment, reference_random_regions(w, k, np.random.PCG64(seed)))
 
 
 def networkx_graph(w):
@@ -303,26 +367,27 @@ class TestMonteCarloKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1))
     def test_means_equal_public_path(self, data, w, seed):
+        # a one-element path is PCG64(seed), so repeat 0 is random_regions(w, k, seed)
         k = data.draw(st.integers(1, w.n))
         values = np.random.default_rng(seed).standard_normal(w.n)
         y = AreaVariable(values=values, weights=w)
-        path = (seed, k)
-        got = list(_partitions(w, k, path, 3))
+        got = list(_partitions(w, k, (seed,), 3))
         assert len(got) == 3
+        assert np.array_equal(got[0][0], random_regions(w, k, seed=seed).assignment)
         for rep, (labels, sizes) in enumerate(got):
-            regions = random_regions(w, k, seed=derive_seed(*path, rep))
-            assert np.array_equal(labels, regions.assignment)
+            assert np.array_equal(labels, reference_random_regions(w, k, path_stream((seed,), rep)))
+            assert_regions_connected_by_networkx(w, labels, k)
             means = np.bincount(labels, y.values) / sizes
+            regions = Regionalization(assignment=labels, k=k)
             assert np.array_equal(means, aggregate_mean(y, regions).region_means)
-        labels = _grow(w.neighbors, w.n, k, derive_seed(*path, 0))
-        assert_regions_connected_by_networkx(w, labels, k)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_grown_regions_connected_by_networkx(self, name):
         w = ORACLE_GRAPHS[name]()
         for k in sorted({1, 2, max(1, w.n // 10), max(1, w.n // 2), w.n - 1} - {0}):
             for seed in ORACLE_SEEDS[:4]:
-                assert_regions_connected_by_networkx(w, _grow(w.neighbors, w.n, k, seed), k)
+                labels = _grow(w.neighbors, w.n, k, np.random.PCG64(seed))
+                assert_regions_connected_by_networkx(w, labels, k)
 
 
 class TestAggregateMean:

@@ -9,7 +9,9 @@ same digests; the two worker counts of one tree must agree as well.
 Next to each whole-file digest it prints a payload digest: the sha256 of the
 output's stream-bearing key (``values`` of the null, ``cells`` of power, size
 and effects) as compact, key-sorted JSON. A change to the artifact's other
-keys moves the whole-file digest but not the payload digest.
+keys moves the whole-file digest but not the payload digest. Each line also
+names the ``stream_version`` the artifact records (top-level, or in the
+effects ``metadata``; ``-`` where it records none).
 
     python tools/stream_digest.py [--src PATH]
 """
@@ -34,8 +36,8 @@ RUNS = {
 WORKERS = (1, 2)
 
 
-def digest(src: Path, args: list[str], workers: int, out: Path) -> tuple[str, str]:
-    """Whole-file and payload sha256 of one run's output."""
+def digest(src: Path, args: list[str], workers: int, out: Path) -> tuple[str, str, str]:
+    """Stream version, whole-file and payload sha256 of one run's output."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     cmd = [sys.executable, "-m", "smaup.cli", *args, "--seed", "1",
            "--workers", str(workers), "--out", str(out)]
@@ -44,7 +46,8 @@ def digest(src: Path, args: list[str], workers: int, out: Path) -> tuple[str, st
     doc = json.loads(data)
     payload = json.dumps(doc["values" if "values" in doc else "cells"], sort_keys=True,
                          separators=(",", ":"))
-    return hashlib.sha256(data).hexdigest(), hashlib.sha256(payload.encode()).hexdigest()
+    version = doc.get("stream_version", doc.get("metadata", {}).get("stream_version", "-"))
+    return str(version), hashlib.sha256(data).hexdigest(), hashlib.sha256(payload.encode()).hexdigest()
 
 
 def main() -> int:
@@ -57,8 +60,8 @@ def main() -> int:
         for name, args in RUNS.items():
             digests = [digest(src, args, wk, Path(tmp) / f"{name}-{wk}.json") for wk in WORKERS]
             mismatched |= len(set(digests)) > 1
-            for wk, (whole, payload) in zip(WORKERS, digests):
-                print(f"{name:<8} workers={wk} {whole} payload={payload}")
+            for wk, (version, whole, payload) in zip(WORKERS, digests):
+                print(f"{name:<8} workers={wk} stream_version={version} {whole} payload={payload}")
     if mismatched:
         print("worker counts disagree", file=sys.stderr)
     return int(mismatched)
