@@ -76,9 +76,7 @@ from .sar import (
 )
 from .stats import (
     TestOutcome,
-    descriptives,
     levene_test,
-    mean_over_repeats,
     pseudo_p,
     rcm,
     rcv,
@@ -116,10 +114,8 @@ __all__ = [
     "aggregate_mean",
     # stats
     "TestOutcome",
-    "descriptives",
     "rcm",
     "rcv",
-    "mean_over_repeats",
     "welch_t_test",
     "levene_test",
     "pseudo_p",

@@ -30,7 +30,7 @@ import numpy as np
 from ._version import __version__ as _toolkit_version
 from .critical_values import ALPHA_GRID, DEFAULT_TABLE, RHO_GRID, critical_value
 from .errors import InvalidAlphaError, InvalidKError, ShapeMismatchError
-from .sar import AreaVariable, estimate_rho
+from .sar import AreaVariable, _check_rho, estimate_rho
 from .stats import pseudo_p as _pseudo_p
 from .weights import SpatialWeights
 
@@ -216,7 +216,7 @@ def smaup_test(
         NullDistribution simulated for another area count is rejected with
         ShapeMismatchError.
     rho : float, optional
-        Skip estimation and use this autocorrelation value.
+        Skip estimation and use this autocorrelation value; |rho| < 1.
     """
     if not 1 <= k <= w.n:
         raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
@@ -247,7 +247,7 @@ def scan_k(
     if null_n is not None and null_n != w.n:
         raise ShapeMismatchError(f"null was simulated for N={null_n}, but weights has n={w.n}")
     nv = _null_values(null)
-    rho_used = float(rho) if rho is not None else estimate_rho(w, y)
+    rho_used = _check_rho(float(rho)) if rho is not None else estimate_rho(w, y)
     null_rho = getattr(null, "rho", None)
     if null_rho is not None:
         null_cell, cell = (RHO_GRID[DEFAULT_TABLE._snap_rho(r)] for r in (null_rho, rho_used))

@@ -27,8 +27,9 @@ the null keeps the Ms, size and power price each M at its own estimated rho.
 The effects harness draws every rho field of an instance first. Then, for
 each k, it grows the instance's r partitions once and works on the F x r
 (field, repeat) rows as arrays: one offset ``bincount`` takes every row's
-region means, and RCM, RCV and one call of each test's kernel score all
-rows, each bit for bit what aggregating and testing that pair alone gives.
+region means, one call of each test's kernel scores all rows, and RCM and
+RCV take the Welch terms' means and squared deviations through the formulas
+of ``stats``, so each row is bit for bit what scoring that pair alone gives.
 
 Every random draw derives from the master seed and a seed path that names
 what the draw is, never where its cell sits in the run: (master seed,
@@ -73,7 +74,8 @@ from .sar import (
     w_eigenvalues,
 )
 from .seeding import derive_rng, derive_seed
-from .stats import _levene, _levene_terms, _sample, _welch, _welch_terms, mean_over_repeats
+from .stats import (_levene, _levene_terms, _mean, _relative_change, _sample, _variance, _welch,
+                    _welch_terms)
 from .weights import SpatialWeights, build_lattice_rook
 
 __all__ = [
@@ -539,8 +541,8 @@ class EffectsSummary:
                 lines.append(f"{c.rho},{c.k},{prefix}rcm_bar_{i:03d},{v!r}")
             for i, v in enumerate(c.rcv_bars):
                 lines.append(f"{c.rho},{c.k},{prefix}rcv_bar_{i:03d},{v!r}")
-            lines.append(f"{c.rho},{c.k},{prefix}rcm_bar_mean,{mean_over_repeats(c.rcm_bars)!r}")
-            lines.append(f"{c.rho},{c.k},{prefix}rcv_bar_mean,{mean_over_repeats(c.rcv_bars)!r}")
+            lines.append(f"{c.rho},{c.k},{prefix}rcm_bar_mean,{float(np.mean(c.rcm_bars))!r}")
+            lines.append(f"{c.rho},{c.k},{prefix}rcv_bar_mean,{float(np.mean(c.rcv_bars))!r}")
             lines.append(f"{c.rho},{c.k},{prefix}t_reject_prop,{c.t_rejection_proportion!r}")
             lines.append(f"{c.rho},{c.k},{prefix}levene_reject_prop,{c.levene_rejection_proportion!r}")
         return "\n".join(lines) + "\n"
@@ -553,7 +555,8 @@ def _effects_rows(values: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
     ``values`` is (F, n), ``labels`` (r, n) and ``sizes`` (r, k). Returns the
     RCM and RCV, (F, r), and the Welch and Levene outcomes, whose statistics
     and p-values are (F, r). Row (f, i) is, bit for bit, what aggregating
-    field f on partition i alone and testing the pair gives.
+    field f on partition i alone and scoring the pair with the public
+    ``rcm``, ``rcv``, ``welch_t_test`` and ``levene_test`` gives.
     """
     (n_fields, _), (r, k) = values.shape, sizes.shape
     fields = values[:, None, :]  # (F, 1, n): broadcasts over the repeats
@@ -564,12 +567,9 @@ def _effects_rows(values: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
     field_welch, means_welch = _welch_terms(fields), _welch_terms(means)
     welch = _welch(*field_welch, *means_welch)
     levene = _levene(*_levene_terms(fields), *_levene_terms(means))
-    (_, mean_o, _), (_, mean_ag, ss_ag) = field_welch, means_welch
-    var_o = values.var(-1, ddof=1, keepdims=True)
-    # zero-mean SAR fields make the signed-divisor relative change
-    # explode; divide by |mean| and flag it in run metadata
-    rcm = abs(mean_o - mean_ag) / abs(mean_o)
-    rcv = abs(var_o - ss_ag / (k - 1)) / var_o
+    (n, mean_o, ss_o), (_, mean_ag, ss_ag) = field_welch, means_welch
+    rcm = _relative_change(mean_o, mean_ag, "mean")
+    rcv = _relative_change(_variance(n, ss_o), _variance(k, ss_ag), "variance")
     return rcm, rcv, welch, levene
 
 
@@ -607,8 +607,8 @@ def _effects_instance_task(args) -> dict:
         labels, sizes = map(np.stack, zip(*_partitions(w, k, seed_path, config.r)))
         rcm, rcv, welch, levene = _effects_rows(values, labels, sizes)
         t_rej, lev_rej = (test.rejects(_FILTER_ALPHA).sum(axis=1) for test in (welch, levene))
-        for rho, rcms, rcvs, t, lev in zip(config.rho_values, rcm, rcv, t_rej, lev_rej):
-            out[(rho, k)] = (mean_over_repeats(rcms), mean_over_repeats(rcvs), int(t), int(lev))
+        for rho, rcm_bar, rcv_bar, t, lev in zip(config.rho_values, _mean(rcm), _mean(rcv), t_rej, lev_rej):
+            out[(rho, k)] = (float(rcm_bar), float(rcv_bar), int(t), int(lev))
     return out
 
 
@@ -649,11 +649,6 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
         metadata={
             "stream_version": _STREAM_VERSION,
             "rcm_divisor": "abs(mean)",
-            "rcm_divisor_note": (
-                "relative change in mean divides by |mean| because simulated "
-                "fields are near-zero-mean; the signed-divisor definition is "
-                "available as smaup.stats.rcm"
-            ),
         },
     )
 

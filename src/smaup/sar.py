@@ -119,8 +119,14 @@ class SarSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not abs(self.rho) < 1:
-            raise NumericalError(f"|rho| must be < 1, got rho={self.rho}")
+        _check_rho(self.rho)
+
+
+def _check_rho(rho: float) -> float:
+    """``rho`` if |rho| < 1; a non-finite or larger rho raises NumericalError."""
+    if not abs(rho) < 1:
+        raise NumericalError(f"|rho| must be < 1, got rho={rho}")
+    return rho
 
 
 def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:

@@ -1,9 +1,15 @@
 """Classical statistics used across the toolkit.
 
-Descriptive moments, relative change in mean/variance between an original and
-an aggregated variable, Welch's two-sample t-test, the (mean-centered) Levene
-test for equality of variances, and the empirical pseudo-p of a statistic
-against a simulated null vector.
+The relative change in the mean (RCM) and in the variance (RCV) between an
+original and an aggregated variable, Welch's two-sample t-test, the
+(mean-centered) Levene test for equality of variances, and the empirical
+pseudo-p of a statistic against a simulated null vector.
+
+Each effect quantity is written once, and the effects harness uses it too:
+the sample mean, the sample variance (divisor n - 1) and the relative change
+|before - after| / |before|, RCM on means and RCV on sample variances. The
+|mean| divisor keeps RCM meaningful on near-zero-mean simulated fields. The
+public ``rcm`` and ``rcv`` give a pair the harness's row, bit for bit.
 
 The two-sample tests are written in closed form (Welch 1947; Levene 1960)
 with p-values from the ``scipy.special`` distribution functions, because the
@@ -16,17 +22,10 @@ compare against. This module never imports ``scipy.stats``, and it loads
 take arrays: the per-sample terms are taken along the last axis, and the
 terms of a sample may be arrays of rows, so one call scores many pairs and
 gives each pair's statistic and p-value bit for bit as a call on that pair.
-
-Conventions: variances are sample variances (divisor n-1) everywhere. The
-relative-change-in-mean ratio divides by the signed original mean exactly as
-defined; a warning is emitted when that mean is negative, since the ratio is
-then negative and usually not what the caller wants (the experiment harness
-divides by |mean| instead and flags the deviation in its metadata).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,8 @@ from .errors import (
 
 __all__ = [
     "TestOutcome",
-    "descriptives",
     "rcm",
     "rcv",
-    "mean_over_repeats",
     "welch_t_test",
     "levene_test",
     "pseudo_p",
@@ -74,6 +71,11 @@ def _anywhere(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+def _mean(x: np.ndarray):
+    """Sample mean along the last axis."""
+    return np.add.reduce(x, -1) / x.shape[-1]
+
+
 def _mean_and_ss(x: np.ndarray):
     """Mean along the last axis and the sum of squared deviations from it.
 
@@ -81,69 +83,66 @@ def _mean_and_ss(x: np.ndarray):
     row of an array gets the bits of a call on that row alone; ``einsum``
     and ``(dev * dev).sum(-1)`` sum in another order.
     """
-    mean = np.add.reduce(x, -1) / x.shape[-1]
+    mean = _mean(x)
     dev = x - mean[..., None]
     return mean, np.vecdot(dev, dev)
 
 
-def descriptives(x) -> tuple[float, float]:
-    """Arithmetic mean and sample variance (divisor n-1) of a vector."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size < 2:
-        raise InsufficientDataError(
-            f"need at least 2 observations for a variance, got {arr.size}"
+def _variance(n, ss):
+    """Sample variance (divisor n - 1) of n values with squared deviations ``ss``."""
+    return ss / (n - 1)
+
+
+def _relative_change(before, after, quantity: str):
+    """|before - after| / |before|, for one pair or for arrays of pairs."""
+    if _anywhere(before == 0.0):
+        raise UndefinedRatioError(
+            f"relative change in {quantity} is undefined for a zero original {quantity}"
         )
-    return float(arr.mean()), float(arr.var(ddof=1))
+    return abs(before - after) / abs(before)
+
+
+def _sample(x, least: int = 2) -> np.ndarray:
+    """``x`` as a float vector of at least ``least`` values."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size < least:
+        raise InsufficientDataError(
+            f"both samples need at least {least} observation{'s' if least > 1 else ''}"
+        )
+    return arr
+
+
+def _finite_samples(a, b, least: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The input gate of the public two-sample functions: two float vectors
+    of at least ``least`` values each, every value finite."""
+    a, b = _sample(a, least), _sample(b, least)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DegenerateSampleError("samples must be finite")
+    return a, b
 
 
 def rcm(original, aggregated) -> float:
-    """Relative change in the mean: |mean_o - mean_ag| / mean_o.
+    """Relative change in the mean: |mean_o - mean_ag| / |mean_o|.
 
-    The divisor is the signed original mean. A zero mean is an error; a
-    negative mean triggers a warning because the ratio flips sign.
+    Either sample may hold one value (an aggregate of one region). A zero
+    original mean raises UndefinedRatioError.
     """
-    mu_o = float(np.mean(original))
-    mu_ag = float(np.mean(aggregated))
-    if mu_o == 0.0:
-        raise UndefinedRatioError("relative change in mean is undefined for a zero original mean")
-    if mu_o < 0.0:
-        warnings.warn(
-            "original mean is negative; the signed-divisor relative change is negative "
-            "(consider dividing by |mean| for near-zero-mean fields)",
-            stacklevel=2,
-        )
-    return abs(mu_o - mu_ag) / mu_o
+    a, b = _finite_samples(original, aggregated, least=1)
+    return float(_relative_change(_mean(a), _mean(b), "mean"))
 
 
 def rcv(original, aggregated) -> float:
-    """Relative change in the variance: |var_o - var_ag| / var_o."""
-    _, var_o = descriptives(original)
-    _, var_ag = descriptives(aggregated)
-    if var_o == 0.0:
-        raise UndefinedRatioError("relative change in variance is undefined for zero original variance")
-    return abs(var_o - var_ag) / var_o
+    """Relative change in the sample variance: |var_o - var_ag| / var_o.
 
-
-def mean_over_repeats(values) -> float:
-    """Mean of per-repeat metric values (the repeat-averaged RCM or RCV)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise InsufficientDataError("cannot average zero repeats")
-    return float(arr.mean())
-
-
-def _sample(x) -> np.ndarray:
-    """``x`` as a float vector; a two-sample test needs at least 2 values."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size < 2:
-        raise InsufficientDataError("both samples need at least 2 observations")
-    return arr
+    A zero original variance raises UndefinedRatioError.
+    """
+    a, b = _finite_samples(original, aggregated)
+    var_o, var_ag = (_variance(x.size, _mean_and_ss(x)[1]) for x in (a, b))
+    return float(_relative_change(var_o, var_ag, "variance"))
 
 
 def _welch_terms(x: np.ndarray):
     """One sample's share of Welch's test, along the last axis: size, mean, squared deviations."""
-    if not np.all(np.isfinite(x)):
-        raise DegenerateSampleError("samples must be finite")
     return (x.shape[-1], *_mean_and_ss(x))
 
 
@@ -153,8 +152,8 @@ def _welch(na, mean_a, ss_a, nb, mean_b, ss_b) -> TestOutcome:
     if _anywhere((ss_a == 0.0) & (ss_b == 0.0)):
         raise DegenerateSampleError("both samples have zero variance")
     # squared standard errors of the two means, and their shares of the total
-    se2_a = ss_a / (na - 1) / na
-    se2_b = ss_b / (nb - 1) / nb
+    se2_a = _variance(na, ss_a) / na
+    se2_b = _variance(nb, ss_b) / nb
     se2 = se2_a + se2_b
     fa, fb = se2_a / se2, se2_b / se2
     df = 1.0 / (fa * fa / (na - 1) + fb * fb / (nb - 1))
@@ -169,14 +168,14 @@ def welch_t_test(a, b) -> TestOutcome:
     of a disaggregated variable with the mean of an aggregated one, whose
     lengths and variances differ.
     """
-    a, b = _sample(a), _sample(b)
+    a, b = _finite_samples(a, b)
     return _welch(*_welch_terms(a), *_welch_terms(b))
 
 
 def _levene_terms(x: np.ndarray):
     """One sample's share of Levene's test, along the last axis: size, mean,
     squared deviations, min and max of the scores |x - mean|."""
-    z = np.abs(x - (np.add.reduce(x, -1) / x.shape[-1])[..., None])
+    z = np.abs(x - _mean(x)[..., None])
     return (z.shape[-1], *_mean_and_ss(z), np.minimum.reduce(z, -1), np.maximum.reduce(z, -1))
 
 
@@ -211,7 +210,7 @@ def levene_test(a, b) -> TestOutcome:
     on those scores has (1, n_a + n_b - 2) degrees of freedom. When every
     group's scores are constant but the groups differ, F is infinite and p is 0.
     """
-    a, b = _sample(a), _sample(b)
+    a, b = _finite_samples(a, b)
     return _levene(*_levene_terms(a), *_levene_terms(b))
 
 

@@ -255,6 +255,21 @@ class TestTestCommand:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", [["test", "--k", "30"], ["scan", "--k-min", "28"]],
+                             ids=["test", "scan"])
+    @pytest.mark.parametrize("rho", ["nan", "inf", "1.0", "-3"])
+    def test_rho_outside_the_unit_interval_exit_3(self, tmp_path, weights_file, values_file,
+                                                  capsys, command, rho):
+        # a rho SarSpec refuses is refused here too, before any table or verdict
+        nd = NullDistribution(n=100, rho=0.0, values=np.linspace(0.01, 0.4, 20), replicates=20)
+        null_path = tmp_path / "null.json"
+        null_path.write_text(nd.to_json())
+        code, out, err = run([*command, "--values", values_file, "--weights", weights_file,
+                              "--null", str(null_path), f"--rho={rho}"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "|rho| must be < 1" in err
+
     def test_null_for_another_n_exit_2(self, tmp_path, weights_file, values_file, capsys):
         null_path = tmp_path / "null25.json"
         nd = NullDistribution(n=25, rho=0.0, values=np.array([0.1, 0.2, 0.3, 0.4]),
@@ -516,9 +531,9 @@ ARTIFACTS = {
     "size-csv": (["size", *SMALL_CELLS, "--format", "csv", "--out", "o.csv"], {
         "o.csv": "50e650ae52600f9583ec526d0c5a7558b314664b77ec0bb0b75a9daf5a95fe28"}),
     "effects-json": ([*EFFECTS, "--out", "o.json"], {
-        "o.json": "89cb0eefc45cb87b5268315fc029d4cf6aded400f4f96f7f3069e2f9fa086ccb"}),
+        "o.json": "cc35803906afe1bf387feb137c77b6b009f5034bd4f36749ade30944b6a95284"}),
     "effects-csv": ([*EFFECTS, "--format", "csv", "--out", "o.csv"], {
-        "o.csv": "482ebe0263ee2982a3f9b6dadec58ebeee8ee1c24054c1f213863d9dbb72617b"}),
+        "o.csv": "a1dfeffaa75724e8723b0a97f7b695e179f8c8c5cfc9fbc00bd488f35bba959e"}),
     "export-critical-values": (["export-critical-values", "--out", "cv.csv"], {
         "cv.csv": "4a8d87cbd1dd59bf3a02ba75ccf3a3a99efb77e8fa362cc48f9610df24d189e5"}),
 }

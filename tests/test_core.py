@@ -1,6 +1,7 @@
 """Tests for the sensitivity statistic, its components, and the test logic."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from smaup import (
     InvalidAlphaError,
     InvalidKError,
     NullDistribution,
+    NumericalError,
     SarSpec,
     ShapeMismatchError,
     build_lattice_rook,
@@ -160,6 +162,11 @@ class TestSmaupTest:
         result = smaup_test(flat_field, w30, k=450, rho=0.25)
         assert result.rho_used == 0.25
         assert result.m_value == pytest.approx(float(oracle_m(0.25, 0.5)), abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 1.0, -3.0])
+    def test_rho_override_outside_the_unit_interval(self, w30, flat_field, rho):
+        with pytest.raises(NumericalError, match=r"\|rho\| must be < 1"):
+            smaup_test(flat_field, w30, k=450, rho=rho)
 
     def test_k_validation(self, w30, flat_field):
         with pytest.raises(InvalidKError):

@@ -36,7 +36,7 @@ from smaup.experiments import (
 from smaup.regionalize import Regionalization, _grow, aggregate_mean
 from smaup.sar import SarSpec
 from smaup.seeding import derive_rng
-from smaup.stats import _welch_terms, levene_test, welch_t_test
+from smaup.stats import levene_test, rcm, rcv, welch_t_test
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,16 @@ class TestAcceptanceRecipe:
         res = _accepted_instance(w100, 0.0, master_seed=7, want_rejection=want_rejection, r=10, j=0)
         assert (res["k"], res["trials"], res["attempts"]) == (k, trials, 1)
         assert res["rho_hat"] == pytest.approx(rho_hat, abs=1e-12)
+
+    @pytest.mark.parametrize("want_rejection, sha256", [
+        (False, "857f27b692096cd986443eeef225cc17a3341108388426f4850c092e7a91e888"),
+        (True, "84bf415f72c498da0360259743ff98f16292e60032ba0ae3304835cbdc422dc2"),
+    ], ids=["never-reject", "always-reject"])
+    def test_accepted_records_pinned(self, w100, want_rejection, sha256):
+        # at the power and size pins' scale power is 1.0 and size 0.0 on any
+        # stream; the per-instance (M, rho_hat) records move with every stream
+        (records,) = experiments._accepted_records([(w100, 0.0)], want_rejection, 5, 30, 1, 1)
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == sha256
 
     def test_accepted_instance_fields(self, w100):
         res = _accepted_instance(w100, 0.0, master_seed=7, want_rejection=False, r=10, j=0)
@@ -454,13 +464,11 @@ class TestEffectsRows:
 
     def test_rows_equal_the_public_tests_bit_for_bit(self, passes):
         assert [sizes.shape for (_, _, sizes), _ in passes] == [(5, 12), (5, 53), (5, 90)]
-        for (values, labels, sizes), (rcm, rcv, welch, levene) in passes:
-            k = sizes.shape[1]
-            for (f, i), _ in np.ndenumerate(rcm):
+        for (values, labels, sizes), (rcm_rows, rcv_rows, welch, levene) in passes:
+            for (f, i), _ in np.ndenumerate(rcm_rows):
                 y, means = values[f], np.bincount(labels[i], values[f]) / sizes[i]
-                _, mean_ag, ss_ag = _welch_terms(means)
-                assert rcm[f, i] == abs(y.mean() - mean_ag) / abs(y.mean())
-                assert rcv[f, i] == abs(y.var(ddof=1) - ss_ag / (k - 1)) / y.var(ddof=1)
+                assert rcm_rows[f, i] == rcm(y, means)
+                assert rcv_rows[f, i] == rcv(y, means)
                 for batched, test in ((welch, welch_t_test), (levene, levene_test)):
                     out = test(y, means)
                     assert (batched.statistic[f, i], batched.p_value[f, i]) == (out.statistic, out.p_value)
@@ -511,7 +519,7 @@ def payload_sha256(result) -> str:
     ("effects", lambda: effects_experiment(EffectsConfig(
         k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
         master_seed=1)),
-     "0c0d63f5eeb37598558ccaf7803382c7530ad7d0142154cad96f02a79f3c78e5"),
+     "3651e098ba799c2f657c19d1c3e39b8433d397f4481ccf790d961e9dddb48163"),
 ], ids=["null", "power", "size", "effects"])
 def test_payload_bytes_pinned(name, run, sha256):
     # any change of a random stream or of a reported figure moves these digests

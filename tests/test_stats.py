@@ -1,4 +1,4 @@
-"""Tests for descriptive moments, relative changes, and the two-sample tests."""
+"""Tests for the sample moments, relative changes, and the two-sample tests."""
 
 import json
 import math
@@ -19,16 +19,23 @@ from smaup import (
     DegenerateSampleError,
     InsufficientDataError,
     UndefinedRatioError,
-    descriptives,
     levene_test,
-    mean_over_repeats,
     pseudo_p,
     rcm,
     rcv,
     welch_t_test,
 )
 from smaup.sar import area_variable_to_csv
-from smaup.stats import _levene, _levene_terms, _sample, _welch, _welch_terms
+from smaup.stats import (
+    _levene,
+    _levene_terms,
+    _mean,
+    _mean_and_ss,
+    _sample,
+    _variance,
+    _welch,
+    _welch_terms,
+)
 
 
 def two_pass_moments_oracle(x):
@@ -54,16 +61,23 @@ def permutation_t_pvalue(a, b, n_perm=5000, seed=0):
     return (exceed + 1) / (n_perm + 1)
 
 
+def moments(x):
+    """Sample mean and sample variance, as RCM and RCV take them."""
+    arr = np.asarray(x, dtype=np.float64)
+    mean, ss = _mean_and_ss(arr)
+    return float(mean), float(_variance(arr.size, ss))
+
+
 class TestDescriptives:
     def test_constant(self):
-        assert descriptives([1, 1, 1]) == (1.0, 0.0)
+        assert moments([1, 1, 1]) == (1.0, 0.0)
 
     def test_two_points(self):
-        assert descriptives([0, 2]) == (1.0, 2.0)
+        assert moments([0, 2]) == (1.0, 2.0)
 
     def test_against_extended_precision_oracle(self):
         x = np.random.default_rng(0).standard_normal(1000)
-        mean, var = descriptives(x)
+        mean, var = moments(x)
         o_mean, o_var = two_pass_moments_oracle(x)
         assert mean == pytest.approx(o_mean, abs=1e-13)
         assert var == pytest.approx(o_var, rel=1e-12)
@@ -72,7 +86,7 @@ class TestDescriptives:
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            descriptives([1.0])
+            rcv([1.0], [1.0, 2.0])
 
 
 class TestRelativeChanges:
@@ -89,10 +103,13 @@ class TestRelativeChanges:
         with pytest.raises(UndefinedRatioError):
             rcm([-1.0, 1.0], [0.5, 0.5])
 
-    def test_rcm_negative_mean_warns(self):
-        with pytest.warns(UserWarning, match="negative"):
-            value = rcm([-2.0, -2.0], [-1.0, -1.0])
-        assert value == -0.5  # signed divisor, exactly as defined
+    def test_rcm_negative_mean_divides_by_its_size(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rcm([-2.0, -2.0], [-1.0, -1.0]) == 0.5
+
+    def test_rcm_of_one_region(self):
+        assert rcm([1.0, 3.0], [4.0]) == 1.0
 
     def test_rcv_zero_when_identical(self):
         x = [1.0, 2.0, 5.0]
@@ -118,19 +135,35 @@ class TestRelativeChanges:
 
 
 class TestMeanOverRepeats:
+    """The effects harness averages each instance's repeats with the sample mean."""
+
     def test_constant_repeats(self):
-        assert mean_over_repeats([0.1] * 30) == pytest.approx(0.1)
+        assert _mean(np.full(30, 0.1)) == pytest.approx(0.1)
 
     def test_two_values(self):
-        assert mean_over_repeats([0.0, 1.0]) == 0.5
+        assert _mean(np.array([0.0, 1.0])) == 0.5
 
     def test_is_sum_over_count(self):
         values = np.random.default_rng(5).uniform(size=30)
-        assert mean_over_repeats(values) == pytest.approx(float(values.sum()) / 30)
+        assert _mean(values) == pytest.approx(float(values.sum()) / 30)
 
-    def test_empty(self):
-        with pytest.raises(InsufficientDataError):
-            mean_over_repeats([])
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("public", [rcm, rcv, welch_t_test, levene_test])
+def test_non_finite_sample_raises(public, which, bad):
+    pair = [[1.0, 2.0, 4.0], [0.5, 3.0, 2.5]]
+    pair[which][1] = bad
+    with pytest.raises(DegenerateSampleError, match="finite"):
+        public(*pair)
+
+
+def test_rcm_of_an_empty_sample_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in (([], [1.0]), ([1.0], [])):
+            with pytest.raises(InsufficientDataError):
+                rcm(*pair)
 
 
 class TestWelch:
@@ -330,7 +363,6 @@ class TestPerSampleTerms:
         np.full(5, 2.0),                 # zero variance, constant scores
         np.array([1.0, 3.0]),            # constant scores, nonzero variance
         np.array([0.0, 4.0]),            # constant scores of another size
-        np.array([1.0, np.nan, 2.0]),    # not finite
         np.array([7.0]),                 # too short
     ]
 
