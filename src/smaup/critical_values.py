@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlphaError
+from .sar import _check_rho
 
 __all__ = [
     "TABLE_VERSION",
@@ -143,9 +144,12 @@ class CriticalValueTable:
         return int(np.argmin(np.abs(grid - clamped)))
 
     def lookup(self, n: int, rho: float, alpha: float) -> float:
-        """Nearest-grid-cell critical value for (N, rho) at level alpha."""
+        """Nearest-grid-cell critical value for (N, rho) at level alpha.
+
+        A rho outside (-1, 1), nan included, raises NumericalError.
+        """
         ja = self._alpha_index(alpha)
-        return float(self.values[self._snap_rho(rho), ja, self._snap_n(n)])
+        return float(self.values[self._snap_rho(_check_rho(rho)), ja, self._snap_n(n)])
 
     def to_csv(self) -> str:
         """Long-format export: ``rho,n,alpha,value`` rows."""
@@ -173,8 +177,8 @@ DEFAULT_TABLE = _build_default()
 def critical_value(n: int, rho: float, alpha: float) -> float:
     """Critical value for a test on N areas at autocorrelation rho and level alpha.
 
-    rho snaps to the closest grid row (ties toward 0) and N to the closest
-    grid column (clamped to [25, 900]).
+    rho, which must lie in (-1, 1), snaps to the closest grid row (ties toward
+    0) and N to the closest grid column (clamped to [25, 900]).
     """
     return DEFAULT_TABLE.lookup(n, rho, alpha)
 

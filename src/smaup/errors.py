@@ -5,6 +5,26 @@ can catch one base class. Most errors also derive from the matching builtin
 (``ValueError``, ``RuntimeError``, ...) to stay friendly to generic handlers.
 """
 
+__all__ = [
+    "SmaupError",
+    "InvalidDimensionError",
+    "AdjacencyParseError",
+    "GeoJSONError",
+    "ShapeMismatchError",
+    "DegenerateInputError",
+    "NumericalError",
+    "RetryExhaustedError",
+    "InvalidKError",
+    "RepeatedValueError",
+    "ContiguityError",
+    "CorruptPartitionError",
+    "InsufficientDataError",
+    "UndefinedRatioError",
+    "DegenerateSampleError",
+    "InvalidAlphaError",
+    "ExperimentStallError",
+]
+
 
 class SmaupError(Exception):
     """Base class for all toolkit errors."""

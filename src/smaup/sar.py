@@ -449,13 +449,18 @@ def generate_with_target_rho(
 
     Raises
     ------
+    NumericalError
+        Unless |target| < 1 and window > 0.
+    ValueError
+        If ``max_retries`` < 1, before any draw.
     RetryExhaustedError
         After ``max_retries`` failed attempts; carries the closest attempt.
     """
-    if not abs(target) < 1:
-        raise NumericalError(f"|target| must be < 1, got {target}")
-    if window <= 0:
+    _check_rho(target)
+    if not window > 0:
         raise NumericalError(f"window must be positive, got {window}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     best: AreaVariable | None = None
     best_rho = math.nan
     best_gap = math.inf

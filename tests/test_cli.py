@@ -148,6 +148,20 @@ class TestPermuteAndAggregate:
         perm = area_variable_from_csv(out.read_text(), w)
         assert np.array_equal(np.sort(perm.values), np.sort(orig.values))
 
+    @pytest.mark.parametrize("option, exit_code, message", [
+        (["--max-retries", "0"], 2, "max_retries must be >= 1"),
+        (["--window", "nan"], 3, "window must be positive"),
+    ], ids=["no-retries", "nan-window"])
+    def test_permute_rho_refuses_a_search_that_cannot_succeed(
+            self, tmp_path, weights_file, values_file, capsys, option, exit_code, message):
+        path = tmp_path / "p.csv"
+        code, out, err = run(["permute-rho", "--values", values_file, "--weights", weights_file,
+                              "--target", "0.0", "--seed", "5", *option, "--out", str(path)], capsys)
+        assert code == exit_code
+        assert out == ""
+        assert message in err
+        assert not path.exists()
+
     def test_aggregate_outputs(self, tmp_path, weights_file, values_file, capsys):
         regions_out = tmp_path / "r.csv"
         means_out = tmp_path / "m.csv"

@@ -191,6 +191,10 @@ class TestSmaupTest:
         assert smaup_test(flat_field, w30, k=90).significance_stars() == "***"
         assert smaup_test(flat_field, w30, k=900).significance_stars() == ""
 
+    def test_rejects_needs_a_recorded_alpha(self, w30, flat_field):
+        with pytest.raises(InvalidAlphaError, match="no decision recorded at alpha=0.2"):
+            smaup_test(flat_field, w30, k=90).rejects(0.2)
+
 
 class TestMinSafeK:
     def exhaustive_oracle(self, y, w, alpha, k_min, k_max, rho):

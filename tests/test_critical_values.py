@@ -10,6 +10,7 @@ from smaup import (
     RHO_GRID,
     CriticalValueTable,
     InvalidAlphaError,
+    NumericalError,
     critical_value,
     export_critical_values_csv,
 )
@@ -35,6 +36,13 @@ class TestTableData:
                 v05 = critical_value(n, rho, 0.05)
                 v10 = critical_value(n, rho, 0.1)
                 assert v01 >= v05 >= v10
+
+    def test_loader_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"table shape \(9, 3, 5\) != grid shape \(9, 3, 6\)"):
+            CriticalValueTable(
+                rho_grid=RHO_GRID, n_grid=N_GRID, alpha_grid=ALPHA_GRID,
+                values=DEFAULT_TABLE.values[:, :, :5],
+            )
 
     def test_loader_rejects_disordered_alphas(self):
         values = DEFAULT_TABLE.values.copy()
@@ -62,6 +70,12 @@ class TestSnapping:
     def test_rho_clamps_beyond_grid(self):
         assert critical_value(100, 0.97, 0.05) == critical_value(100, 0.9, 0.05)
         assert critical_value(100, -0.99, 0.05) == critical_value(100, -0.9, 0.05)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 1.0, -1.0])
+    def test_rho_outside_the_unit_interval_rejected(self, rho):
+        # nan and +-inf used to snap to the -0.9 and 0.0 rows
+        with pytest.raises(NumericalError, match=r"\|rho\| must be < 1"):
+            critical_value(100, rho, 0.05)
 
     def test_nearest_n(self):
         assert critical_value(150, 0.0, 0.05) == critical_value(100, 0.0, 0.05)

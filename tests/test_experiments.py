@@ -12,9 +12,11 @@ from smaup import (
     CorruptPartitionError,
     DegenerateSampleError,
     EffectsConfig,
+    EffectsSummary,
     ExperimentStallError,
     InvalidKError,
     NullDistribution,
+    PowerSizeReport,
     RepeatedValueError,
     build_lattice_rook,
     critical_value,
@@ -88,6 +90,10 @@ class TestNullDistribution:
         a = generate_null(100, 0.0, replicates=8, master_seed=6, workers=1)
         b = generate_null(100, 0.0, replicates=8, master_seed=6, workers=3)
         assert a.to_json() == b.to_json()
+
+    def test_values_must_match_replicates(self):
+        with pytest.raises(ValueError, match="2 values but replicates=3"):
+            NullDistribution(n=100, rho=0.0, values=[0.1, 0.2], replicates=3)
 
     def test_non_square_area_count_rejected(self):
         from smaup import InvalidDimensionError
@@ -264,6 +270,12 @@ class TestPowerAndSize:
             )
             assert report.proportion(100, 0.0) == rejections / 5, want_rejection
 
+    def test_missing_cell_raises(self):
+        report = PowerSizeReport(kind="size", alpha=0.05, instances=1,
+                                 cells=({"n": 100, "rho": 0.0, "proportion": 0.0},))
+        with pytest.raises(KeyError, match=r"no cell \(N=100, rho=0.3\)"):
+            report.proportion(100, 0.3)
+
     @pytest.mark.parametrize("runner", [power_experiment, size_experiment], ids=["power", "size"])
     def test_cell_records_independent_of_other_cells(self, monkeypatch, runner):
         # instance j of every cell has the seed path prefix (int(want_rejection), j)
@@ -360,6 +372,11 @@ class TestEffects:
         summary = effects_experiment(config)
         assert summary.rho_isolation
         assert summary.metadata["rcm_divisor"] == "abs(mean)"
+
+    def test_missing_cell_raises(self):
+        summary = EffectsSummary(cells=(), instances=1, r=1, master_seed=0, rho_isolation=True)
+        with pytest.raises(KeyError, match=r"no cell \(N=100, rho=0.0, k=12\)"):
+            summary.cell(100, 0.0, 12)
 
     def test_no_feasible_cell_raises(self):
         for k_lists in ({25: (30, 40), 100: (200,)}, {100: ()}, {}):

@@ -11,6 +11,7 @@ import scipy.stats
 from scipy.spatial import Delaunay
 
 from smaup import (
+    AggregatedVariable,
     AreaVariable,
     ContiguityError,
     CorruptPartitionError,
@@ -449,3 +450,21 @@ class TestPartitionType:
     def test_labels_must_be_in_range(self):
         with pytest.raises(CorruptPartitionError):
             Regionalization(assignment=np.array([0, 1, 5]), k=2)
+
+    @pytest.mark.parametrize("assignment, k, error, message", [
+        (np.zeros((2, 2), dtype=int), 1, CorruptPartitionError,
+         r"assignment must be 1-D, got shape \(2, 2\)"),
+        (np.zeros(4, dtype=int), 0, InvalidKError, "k must be >= 1, got 0"),
+    ], ids=["2-D", "k-zero"])
+    def test_malformed_partition_rejected(self, assignment, k, error, message):
+        with pytest.raises(error, match=message):
+            Regionalization(assignment=assignment, k=k)
+
+    @pytest.mark.parametrize("means, sizes, message", [
+        ([1.0, 2.0], [3], "must be aligned 1-D vectors"),
+        ([1.0, 2.0], [3, 0], "every region must contain at least one area"),
+        ([1.0, np.inf], [3, 1], "region means must be finite"),
+    ], ids=["misaligned", "empty-region", "non-finite"])
+    def test_malformed_aggregate_rejected(self, means, sizes, message):
+        with pytest.raises(CorruptPartitionError, match=message):
+            AggregatedVariable(region_means=np.array(means), region_sizes=np.array(sizes))

@@ -125,6 +125,16 @@ class TestGenerateSar:
         assert hits >= 95
 
 
+class TestAreaVariable:
+    @pytest.mark.parametrize("values, error, message", [
+        (np.ones((10, 10)), ShapeMismatchError, r"values must be 1-D, got shape \(10, 10\)"),
+        (np.r_[np.ones(99), np.nan], DegenerateInputError, "non-finite values"),
+    ], ids=["2-D", "non-finite"])
+    def test_malformed_values_rejected(self, w10, values, error, message):
+        with pytest.raises(error, match=message):
+            AreaVariable(values=values, weights=w10)
+
+
 class TestEstimateRho:
     def test_matches_grid_search_oracle(self, w10):
         for rho, seed in [(0.0, 3), (0.9, 7), (-0.7, 11)]:
@@ -155,6 +165,11 @@ class TestEstimateRho:
     def test_constant_vector_rejected(self, w10):
         y = AreaVariable(values=np.full(100, 3.0), weights=w10)
         with pytest.raises(DegenerateInputError, match="constant"):
+            estimate_rho(w10, y)
+
+    def test_length_mismatch_rejected(self, w10):
+        y = generate_sar(build_lattice_rook(3, 4), SarSpec(rho=0.0, seed=1))
+        with pytest.raises(ShapeMismatchError, match="variable length 12 does not match weights n=100"):
             estimate_rho(w10, y)
 
     def test_too_few_areas_rejected(self):
@@ -701,6 +716,25 @@ class TestTargetRho:
         assert excinfo.value.best_attempt is not None
         assert np.isfinite(excinfo.value.best_rho)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 1.0, -1.0])
+    def test_target_outside_the_unit_interval_rejected(self, w10, target):
+        y = generate_sar(w10, SarSpec(rho=0.0, seed=1))
+        with pytest.raises(NumericalError, match=r"\|rho\| must be < 1"):
+            generate_with_target_rho(w10, y, target=target)
+
+    @pytest.mark.parametrize("window", [math.nan, 0.0, -0.5])
+    def test_window_not_positive_rejected(self, w10, window):
+        y = generate_sar(w10, SarSpec(rho=0.0, seed=1))
+        with pytest.raises(NumericalError, match="window must be positive"):
+            generate_with_target_rho(w10, y, target=0.0, window=window)
+
+    @pytest.mark.parametrize("max_retries", [0, -1])
+    def test_no_retries_rejected_before_any_draw(self, w10, monkeypatch, max_retries):
+        y = generate_sar(w10, SarSpec(rho=0.0, seed=1))
+        monkeypatch.setattr(sar, "generate_sar", None)
+        with pytest.raises(ValueError, match="max_retries must be >= 1"):
+            generate_with_target_rho(w10, y, target=0.0, max_retries=max_retries)
+
 
 class TestCsv:
     def test_round_trip(self, w10):
@@ -713,3 +747,7 @@ class TestCsv:
         w2 = build_lattice_rook(1, 2)
         back = area_variable_from_csv("# meta\n1.5\n-2.0\n", w2)
         assert back.values.tolist() == [1.5, -2.0]
+
+    def test_non_number_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="not a number: 'abc'"):
+            area_variable_from_csv("value\n1.5\nabc\n", build_lattice_rook(1, 2))

@@ -133,6 +133,16 @@ class TestAdjacencyText:
         with pytest.raises(AdjacencyParseError, match="line 1"):
             from_adjacency_text("0 1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a: 1\n1: 0", "line 1: area id 'a' is not an integer"),
+        ("0: 1\n1: 0\n0: 1", "line 3: duplicate area id 0"),
+        ("0: 1 x\n1: 0", "line 1: neighbor list contains a non-integer"),
+        ("0: 5\n1: 0", "area 0: neighbor id 5 outside 0..1"),
+    ], ids=["area-id", "duplicate-id", "neighbor-id", "neighbor-range"])
+    def test_malformed_entry_rejected(self, text, message):
+        with pytest.raises(AdjacencyParseError, match=message):
+            from_adjacency_text(text)
+
     def test_asymmetric_input_repaired_with_warning(self):
         with pytest.warns(UserWarning, match="2 reciprocal"):
             w = from_adjacency_text("0: 1 2\n1:\n2:")
@@ -196,6 +206,21 @@ class TestGeoJSON:
         })
         with pytest.raises(GeoJSONError, match="Point"):
             from_geojson(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"type": "Feature", "geometry": square_feature(0, 0)["geometry"]},
+         "expected a GeoJSON FeatureCollection"),
+        ({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "Polygon"}}, square_feature(1, 0)]},
+         "feature 0: missing or invalid coordinates"),
+        ({"type": "FeatureCollection", "features": [
+            square_feature(0, 0),
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [[[1, 0], [1, 0]]]}}]},
+         "feature 1: no usable boundary segments"),
+    ], ids=["not-a-collection", "no-coordinates", "no-segment"])
+    def test_unusable_document_rejected(self, doc, message):
+        with pytest.raises(GeoJSONError, match=message):
+            from_geojson(json.dumps(doc))
 
     def test_too_few_features(self):
         doc = json.dumps({"type": "FeatureCollection", "features": [square_feature(0, 0)]})
@@ -366,6 +391,15 @@ def faulty_weights(draw, fault):
 
 
 class TestSpatialWeightsRejects:
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 0, "neighbors": (), "weights": ()}, "need at least one area, got n=0"),
+        ({"n": 2, "neighbors": ((1,), (0,)), "weights": ((1.0,),)},
+         "neighbor/weight lists must have length n=2"),
+    ], ids=["no-areas", "list-lengths"])
+    def test_malformed_shape(self, fields, message):
+        with pytest.raises(InvalidDimensionError, match=message):
+            SpatialWeights(**fields)
+
     @pytest.mark.parametrize("fault", list(FAULTS))
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

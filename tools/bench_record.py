@@ -12,6 +12,10 @@ repository root with:
 - the traced per-layer metrics;
 - per metric, the number of seeds on which the change beat the parent, in
   the direction ``BENCHMARK.json`` declares;
+- per end-to-end metric, the change/parent median ratio and whether the
+  change is worse than the parent by more than the metric's ``bound`` (a
+  fraction of the parent's median, in the declared direction), and at the
+  top level every ``workload.metric`` that is;
 - provenance of each tree: git commit and whether its ``src`` differs from
   that commit, SHA-256 of ``src/smaup/*.py``, nproc, Python/numpy/scipy.
 
@@ -66,6 +70,15 @@ def tree_provenance(tree: Path, report: dict) -> dict:
     return prov
 
 
+def verdict(parent: float, change: float, better: str, bound: float) -> dict:
+    """Change/parent median ratio, and whether the change is worse than the
+    parent by more than ``bound``, a fraction of the parent's median."""
+    ratio = change / parent
+    worse_by = 1 - ratio if better == "higher" else ratio - 1
+    return {"ratio": ratio, "worse_by": worse_by, "bound": bound,
+            "worse_than_bound": worse_by > bound}
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median(values), "q1": q1, "q3": q3, "samples": values}
@@ -86,6 +99,7 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds, trace_seed = spec["run_seconds"], args.seeds[0]
     out_path = ROOT / f"BENCH_{args.number}.json"
@@ -126,7 +140,14 @@ def main() -> int:
                       for a, b in zip(parent[name]["samples"], change[name]["samples"]))
             for name in better
         }
+        entry["verdict"] = {
+            name: verdict(parent[name]["median"], change[name]["median"], better[name], bound[name])
+            for name in better
+        }
         doc["workloads"][workload] = entry
+    doc["worse_than_bound"] = [f"{workload}.{name}"
+                               for workload, entry in doc["workloads"].items()
+                               for name, v in entry["verdict"].items() if v["worse_than_bound"]]
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
