@@ -227,7 +227,7 @@ def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
     _check_growable(w, k)
     bitgen = derive_rng(*seed_path).bit_generator
     for _ in range(r):
-        labels = np.fromiter(_grow(w.neighbors, w.n, k, bitgen), np.int64, w.n)
+        labels = np.fromiter(_grow(w, k, bitgen), np.int64, w.n)
         sizes = np.bincount(labels)
         if sizes.size != k or sizes.min() < 1:
             raise CorruptPartitionError(f"grown partition does not use all {k} region labels")

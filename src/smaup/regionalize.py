@@ -7,6 +7,12 @@ construction. Aggregation uses the unweighted mean of member areas. One
 growth loop serves :func:`random_regions` and, without its validation, the
 Monte Carlo kernel ``experiments._partitions``; both keep its draw contract.
 
+Growth holds sets of areas as Python ints, bit j for area j: the unassigned
+areas, and per region its reach, the union of its areas' neighbor sets
+(cached on the weights). Adjacency is symmetric, so a region's frontier,
+the unassigned areas adjacent to it, is ``reach & unassigned``, and its
+i-th set bit from the lowest is its i-th area in ascending order.
+
 Draw contract (stream version 4). Growth reads one PCG64 bit generator, and
 partition ``rep`` of a stream reads it from where ``bitgen.jumped(rep)``
 starts, ``rep`` times numpy's PCG64 jump of (golden ratio - 1) * 2**128
@@ -29,9 +35,8 @@ modulo 2**(j + 2); the golden-ratio jump is not. Within a substream:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -131,15 +136,18 @@ class AggregatedVariable:
         return self.region_means.shape[0]
 
 
-def _grow(neighbors, n: int, k: int, bitgen: np.random.PCG64) -> list[int]:
+def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64) -> list[int]:
     """Region labels of :func:`random_regions`, for k and a graph already checked,
     grown from ``bitgen``'s next substream (module docstring).
 
-    A region's frontier is listed when it is first picked: until then it is its
-    seed alone, whose unassigned neighbours are exactly its frontier. Each
-    pick from m > 1 choices is numpy's bounded draw (Lemire 2019): take
-    ``x = word * m``, redraw while its low 32 bits are below
-    ``(2**32 - m) % m``, and use its top 32 bits."""
+    A region's frontier is ``reach & unassigned`` (module docstring); its
+    i-th area is found by clearing the i lowest, or the m - 1 - i highest, of
+    its m set bits. A claim moves one bit out of ``unassigned`` and ORs the
+    area's neighbor mask into the region's reach. Each pick from m > 1
+    choices is numpy's bounded draw (Lemire 2019): take ``x = word * m``,
+    redraw while its low 32 bits are below ``(2**32 - m) % m``, and use its
+    top 32 bits."""
+    n, masks = w.n, w._neighbor_masks
     block = n - k + 8  # outputs per read of pick words; moves no stream
     fills = 0
 
@@ -149,22 +157,16 @@ def _grow(neighbors, n: int, k: int, bitgen: np.random.PCG64) -> list[int]:
         return bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
 
     raw = bitgen.random_raw(n + block)
-    seeds = np.argsort(raw[:n], kind="stable")[:k].tolist()
+    seeds = np.argsort(raw[:n], kind="stable")[:k]
     first = raw[n:].astype("<u8", copy=False).view("<u4").tolist()
     word = chain(first, chain.from_iterable(iter(fill, None))).__next__
-    assignment = [-1] * n
-    for region, area in enumerate(seeds):
-        assignment[area] = region
-    active = []
-    for region, area in enumerate(seeds):
-        for j in neighbors[area]:
-            if assignment[j] < 0:
-                active.append(region)
-                break
-    # frontiers[r]: None until r is first picked, then its sorted frontier (rows ascend)
-    frontiers: list[list[int] | None] = [None] * k
-    remaining = n - k
-    while remaining and active:
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[seeds] = np.arange(k)
+    unassigned = int.from_bytes(np.packbits(labels < 0, bitorder="little").tobytes(), "little")
+    assignment = labels.tolist()
+    reach = [masks[area] for area in seeds.tolist()]
+    active = list(compress(range(k), map(unassigned.__and__, reach)))
+    while unassigned and active:
         m = len(active)
         pos = 0
         if m > 1:
@@ -173,36 +175,32 @@ def _grow(neighbors, n: int, k: int, bitgen: np.random.PCG64) -> list[int]:
                 x = word() * m
             pos = x >> 32
         region = active[pos]
-        frontier = frontiers[region]
-        if frontier is None:
-            frontier = frontiers[region] = [j for j in neighbors[seeds[region]] if assignment[j] < 0]
+        frontier = reach[region] & unassigned
         if not frontier:
             active.pop(pos)
             continue
-        m = len(frontier)
-        i = 0
+        m = frontier.bit_count()
         if m > 1:
             x = word() * m
             while (x & 0xFFFFFFFF) < m and (x & 0xFFFFFFFF) < (0x100000000 - m) % m:
                 x = word() * m
             i = x >> 32
-        area = frontier.pop(i)
+            j = m - 1 - i
+            if i < j:
+                while i:
+                    frontier &= frontier - 1  # clear the lowest set bit
+                    i -= 1
+                frontier &= -frontier
+            else:
+                while j:
+                    frontier ^= 1 << (frontier.bit_length() - 1)  # clear the highest
+                    j -= 1
+        area = frontier.bit_length() - 1
         assignment[area] = region
-        remaining -= 1
-        for j in neighbors[area]:
-            owner = assignment[j]
-            if owner < 0:
-                i = bisect_left(frontier, j)
-                if i == len(frontier) or frontier[i] != j:
-                    frontier.insert(i, j)
-            elif owner != region:
-                # area left the frontier of every other listed region it touches
-                owned = frontiers[owner]
-                if owned is not None:
-                    i = bisect_left(owned, area)
-                    if i < len(owned) and owned[i] == area:
-                        del owned[i]
-        if not frontier:
+        unassigned ^= 1 << area
+        reach[region] |= masks[area]
+        # the other m - 1 frontier areas are still unassigned
+        if m == 1 and not masks[area] & unassigned:
             active.pop(pos)
     bitgen.advance(_JUMP - n - block * (fills + 1))
     return assignment
@@ -235,7 +233,7 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
         If the contiguity graph is disconnected.
     """
     _check_growable(w, k)
-    assignment = _grow(w.neighbors, w.n, k, np.random.PCG64(seed))
+    assignment = _grow(w, k, np.random.PCG64(seed))
     return Regionalization(assignment=np.array(assignment), k=k)
 
 

@@ -198,18 +198,19 @@ def w_eigenvalues(w: SpatialWeights) -> np.ndarray:
     if cached is not None:
         return cached
     import scipy.linalg
-    import scipy.sparse as sp
 
-    a = w.sparse
     deg = w.cardinalities.astype(np.float64)
     deg[deg == 0] = 1.0  # isolated areas contribute a zero eigenvalue either way
-    if w.standardized and np.array_equal(a.data, np.repeat(1.0 / deg, w.cardinalities)):
-        d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
-        a = d_inv_sqrt @ (a > 0).astype(np.float64) @ d_inv_sqrt
-    if not (a != a.T).nnz:  # symmetric, as in _eigenvalue_range
-        lam = scipy.linalg.eigvalsh(a.toarray(order="F"), overwrite_a=True)
+    a = w.sparse.toarray()  # the one n x n array, scaled in place
+    if w.standardized and np.array_equal(w.sparse.data, np.repeat(1.0 / deg, w.cardinalities)):
+        d_inv_sqrt = 1.0 / np.sqrt(deg)
+        np.sign(a, out=a)  # binary A: every stored weight is 1 / degree > 0
+        a *= d_inv_sqrt[:, None]
+        a *= d_inv_sqrt
+    if np.array_equal(a, a.T):  # symmetric, as in _eigenvalue_range
+        lam = scipy.linalg.eigvalsh(a.T, overwrite_a=True)  # a.T: the same matrix, Fortran order
     else:
-        lam = np.sort(scipy.linalg.eigvals(a.toarray(), overwrite_a=True))
+        lam = np.sort(scipy.linalg.eigvals(a, overwrite_a=True))
         if not lam.imag.any():
             lam = lam.real
     lam = np.ascontiguousarray(lam)

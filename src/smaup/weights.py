@@ -132,6 +132,18 @@ class SpatialWeights:
         """Neighbor count per area."""
         return np.array([len(row) for row in self.neighbors], dtype=np.int64)
 
+    @cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
+        """Neighbor set per area as an int: bit j of ``_neighbor_masks[i]`` is
+        set iff j is adjacent to i. Region growth reads them. They take up to
+        n**2 / 8 bytes in all, so they stay out of the pickle (``__getstate__``)."""
+        return tuple(sum(1 << j for j in row) for row in self.neighbors)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_neighbor_masks", None)
+        return state
+
     @property
     def edge_count(self) -> int:
         """Number of undirected edges in the contiguity graph."""

@@ -125,7 +125,7 @@ class TestAcceptanceRecipe:
         assert len(got) == 6
         for rep, (labels, sizes) in enumerate(got):
             bitgen = derive_rng(*path).bit_generator.jumped(rep)
-            regions = Regionalization(np.array(_grow(w100.neighbors, w100.n, 23, bitgen)), 23)
+            regions = Regionalization(np.array(_grow(w100, 23, bitgen)), 23)
             eager = aggregate_mean(y, regions)
             assert np.array_equal(labels, regions.assignment)
             assert np.array_equal(sizes, eager.region_sizes)
@@ -150,7 +150,7 @@ class TestAcceptanceRecipe:
 
     def test_kernel_guards_the_partition(self, w100, monkeypatch):
         # a grower that leaves a label unused must not reach Levene or Welch
-        monkeypatch.setattr(experiments, "_grow", lambda neighbors, n, k, bitgen: [0] * (n - 1) + [2])
+        monkeypatch.setattr(experiments, "_grow", lambda w, k, bitgen: [0] * (w.n - 1) + [2])
         with pytest.raises(CorruptPartitionError):
             next(_partitions(w100, 3, (1,), 1))
 
@@ -431,9 +431,9 @@ class TestEffects:
         # instances x |ks| x r growths, whatever the number of rho levels
         grow, grown = experiments._grow, []
 
-        def counting(neighbors, n, k, bitgen):
+        def counting(w, k, bitgen):
             grown.append(k)
-            return grow(neighbors, n, k, bitgen)
+            return grow(w, k, bitgen)
 
         monkeypatch.setattr(experiments, "_grow", counting)
         config = EffectsConfig(k_lists={100: (12, 53, 90)}, rho_values=rho_values,

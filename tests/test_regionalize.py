@@ -1,6 +1,8 @@
 """Tests for random contiguous aggregation and mean aggregation."""
 
 import itertools
+import pickle
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -22,6 +24,7 @@ from smaup import (
     build_lattice_rook,
     from_adjacency_text,
     generate_sar,
+    is_connected,
     random_regions,
 )
 from smaup.experiments import _partitions
@@ -136,6 +139,15 @@ def delaunay_weights(n, seed):
     return from_adjacency_text(adjacency_text(sets))
 
 
+def relabelled(w, seed):
+    """``w`` with its areas renumbered by a fixed random permutation."""
+    perm = np.random.default_rng(seed).permutation(w.n)
+    sets = [set() for _ in range(w.n)]
+    for i, row in enumerate(w.neighbors):
+        sets[perm[i]].update(int(perm[j]) for j in row)
+    return from_adjacency_text(adjacency_text(sets))
+
+
 @pytest.fixture(scope="module")
 def w10():
     return build_lattice_rook(10, 10)
@@ -189,6 +201,8 @@ ORACLE_GRAPHS = {
     "lattice10x10": lambda: build_lattice_rook(10, 10),
     "lattice7x13": lambda: build_lattice_rook(7, 13),
     "lattice45x45": lambda: build_lattice_rook(45, 45),
+    # high area indices, and so high bits of the sets growth keeps, in every region
+    "lattice45x45-relabelled": lambda: relabelled(build_lattice_rook(45, 45), seed=20),
     "lattice3x1": lambda: build_lattice_rook(3, 1),
     "delaunay300": lambda: delaunay_weights(300, seed=11),
 }
@@ -215,6 +229,24 @@ class ZeroedWords:
         halves[(-2 * self.served) % 3::3] = 0
         self.served += out.size
         out = halves.view("<u8").astype(np.uint64)
+        return out if size is not None else out[0]
+
+    def advance(self, delta):
+        self.bitgen.advance(delta)
+        self.served += delta
+
+
+class KeyedStream:
+    """A PCG64 whose first outputs, the seed keys, read ``keys``."""
+
+    def __init__(self, seed, keys):
+        self.bitgen, self.keys, self.served = np.random.PCG64(seed), keys, 0
+
+    def random_raw(self, size=None):
+        out = self.bitgen.random_raw(1 if size is None else size)
+        head = self.keys[self.served:self.served + out.size]
+        out[:head.size] = head
+        self.served += out.size
         return out if size is not None else out[0]
 
     def advance(self, delta):
@@ -287,9 +319,23 @@ class TestRegionStream:
                 pass
 
         w = build_lattice_rook(10, 10)
-        labels = _grow(w.neighbors, w.n, w.n, TiedKeys())
+        labels = _grow(w, w.n, TiedKeys())
         seeds = [labels.index(region) for region in range(w.n)]
         assert seeds == [area for key in range(3) for area in range(key, w.n, 3)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_across_kth_key_goes_to_lower_area(self, seed):
+        # two areas share the keys ranked k-1 and k: the lower-numbered one is
+        # seed k-1, the other is no seed, and growth is the oracle's
+        w, k = build_lattice_rook(10, 10), 30
+        keys = np.random.default_rng(seed).permutation(w.n).astype(np.uint64) * 2**50
+        p, q = np.argsort(keys)[k - 1:k + 1]
+        keys[q] = keys[p]
+        labels = _grow(w, k, KeyedStream(seed, keys))
+        assert labels[min(p, q)] == k - 1
+        expected = reference_random_regions(
+            w, k, KeyedStream(seed, keys), draws=lambda bitgen: lemire_draws(raw_words(bitgen)))
+        assert labels == expected.tolist()
 
     def test_bounded_draws_equal_generator_integers(self):
         # the redraw test's oracle is numpy's rule on the halves of raw
@@ -309,13 +355,14 @@ class TestRegionStream:
             for seed in ORACLE_SEEDS[:4]:
                 expected = reference_random_regions(
                     w, k, ZeroedWords(seed), draws=lambda bitgen: lemire_draws(raw_words(bitgen)))
-                assert _grow(w.neighbors, w.n, k, ZeroedWords(seed)) == expected.tolist(), (k, seed)
+                assert _grow(w, k, ZeroedWords(seed)) == expected.tolist(), (k, seed)
 
 
 @st.composite
 def connected_graphs(draw):
-    """A random spanning tree on 1-40 areas plus up to 2n extra edges."""
-    n = draw(st.integers(1, 40))
+    """A random spanning tree on 1-70 areas plus up to 2n extra edges: growth's
+    area sets cross the 64-bit word from 65 areas on."""
+    n = draw(st.integers(1, 70))
     sets = [set() for _ in range(n)]
     for i in range(1, n):
         j = draw(st.integers(0, i - 1))
@@ -340,6 +387,37 @@ class TestRandomConnectedGraphs:
         assert np.unique(r.assignment).tolist() == list(range(k))
         assert union_find_region_check(r.assignment, w.neighbors, k)
         assert np.array_equal(r.assignment, reference_random_regions(w, k, np.random.PCG64(seed)))
+
+
+class TestNeighborMasks:
+    """Growth's neighbor masks are cached on the weights they describe: they
+    die with them and never travel in their pickle."""
+
+    def test_masks_match_neighbors(self):
+        w = ORACLE_GRAPHS["lattice45x45-relabelled"]()
+        for i, row in enumerate(w.neighbors):
+            mask = w._neighbor_masks[i]
+            assert [j for j in range(w.n) if mask >> j & 1] == list(row)
+
+    def test_masks_die_with_weights(self):
+        w = build_lattice_rook(7, 13)
+        ref = weakref.ref(w)
+        random_regions(w, 5, seed=1)
+        list(_partitions(w, 5, (1,), 2))
+        assert "_neighbor_masks" in w.__dict__
+        del w
+        assert ref() is None
+
+    def test_masks_stay_out_of_pickle(self):
+        w = build_lattice_rook(7, 13)
+        is_connected(w)
+        size = len(pickle.dumps(w))
+        before = random_regions(w, 5, seed=1)
+        assert "_neighbor_masks" in w.__dict__
+        assert len(pickle.dumps(w)) == size
+        copy = pickle.loads(pickle.dumps(w))
+        assert copy == w and "_neighbor_masks" not in copy.__dict__
+        assert random_regions(copy, 5, seed=1) == before
 
 
 def networkx_graph(w):
@@ -387,7 +465,7 @@ class TestMonteCarloKernel:
         w = ORACLE_GRAPHS[name]()
         for k in sorted({1, 2, max(1, w.n // 10), max(1, w.n // 2), w.n - 1} - {0}):
             for seed in ORACLE_SEEDS[:4]:
-                labels = _grow(w.neighbors, w.n, k, np.random.PCG64(seed))
+                labels = _grow(w, k, np.random.PCG64(seed))
                 assert_regions_connected_by_networkx(w, labels, k)
 
 

@@ -201,6 +201,29 @@ class TestEigenvalues:
         expected = scipy.linalg.eigvalsh(a * d[:, None] * d[None, :])
         assert np.array_equal(w_eigenvalues(w), expected)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_lattice_rook(10, 10),
+        lambda: build_lattice_rook(7, 13),
+        lambda: build_lattice_rook(30, 30, standardized=False),
+        lambda: scaled_rows(build_lattice_rook(6, 6), seed=4)[0],
+        lambda: independent_rows(6, seed=4),
+    ], ids=["lattice10x10", "lattice7x13", "raw30x30", "scaled-rows6x6", "independent-rows6x6"])
+    def test_spectrum_equals_sparse_symmetrisation(self, make):
+        # the sparse diagonal products and sparse symmetry test it replaced, bit for bit
+        w = make()
+        a = w.sparse
+        deg = w.cardinalities.astype(np.float64)
+        if w.standardized and np.array_equal(a.data, np.repeat(1.0 / deg, w.cardinalities)):
+            d = scipy.sparse.diags(1.0 / np.sqrt(deg))
+            a = d @ (a > 0).astype(np.float64) @ d
+        if not (a != a.T).nnz:
+            expected = scipy.linalg.eigvalsh(a.toarray(order="F"))
+        else:
+            expected = np.sort(scipy.linalg.eigvals(a.toarray()))
+            expected = expected.real if not expected.imag.any() else expected
+        lam = w_eigenvalues(w)
+        assert lam.dtype == expected.dtype and lam.tobytes() == expected.tobytes()
+
     def test_binary_spectrum_from_symmetric_solver(self):
         w = build_lattice_rook(9, 12, standardized=False)
         lam = w_eigenvalues(w)
