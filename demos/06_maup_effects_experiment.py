@@ -33,5 +33,5 @@ for cell in summary.cells:
 print("\nreading the table:")
 print(" - t-test rejections ~0 everywhere: no aggregation effect on the mean")
 print(" - Levene rejections fall as rho or k rises: the variance effect fades")
-print(f" - run metadata: {summary.metadata['rcm_divisor']} divisor for RCM "
+print(f" - run metadata: {summary.to_dict()['metadata']['rcm_divisor']} divisor for RCM "
       "(simulated fields are near-zero-mean)")

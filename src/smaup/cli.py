@@ -25,7 +25,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .core import _first_safe_k, scan_k, smaup_test
-from .critical_values import DEFAULT_TABLE, export_critical_values_csv
+from .critical_values import TABLE_VERSION, export_critical_values_csv
 from .errors import (
     DegenerateInputError,
     DegenerateSampleError,
@@ -366,7 +366,7 @@ def _cmd_effects(args) -> int:
 
 
 def _cmd_export_critical_values(args) -> int:
-    text = f"# toolkit_version={__version__} table_version={DEFAULT_TABLE.version}\n"
+    text = f"# toolkit_version={__version__} table_version={TABLE_VERSION}\n"
     _write_text(args.out, text + export_critical_values_csv())
     return 0
 

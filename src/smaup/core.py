@@ -28,8 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from ._version import __version__ as _toolkit_version
-from .critical_values import ALPHA_GRID, DEFAULT_TABLE, RHO_GRID, critical_value
-from .errors import InvalidAlphaError, InvalidKError, ShapeMismatchError
+from .critical_values import ALPHA_GRID, RHO_GRID, _check_alpha, _rho_row, critical_value
+from .errors import DegenerateInputError, InvalidAlphaError, InvalidKError, ShapeMismatchError
 from .sar import AreaVariable, _check_rho, estimate_rho
 from .stats import pseudo_p as _pseudo_p
 from .weights import SpatialWeights
@@ -171,8 +171,10 @@ class SmaupResult:
 def _null_values(null) -> np.ndarray | None:
     if null is None:
         return None
-    values = getattr(null, "values", null)
-    return np.asarray(values, dtype=np.float64)
+    values = np.asarray(getattr(null, "values", null), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DegenerateInputError("null contains non-finite values")
+    return values
 
 
 def _first_safe_k(results: list[SmaupResult], alpha: float) -> int | None:
@@ -241,8 +243,7 @@ def scan_k(
     k_max = w.n if k_max is None else k_max
     if not 1 <= k_min <= k_max <= w.n:
         raise InvalidKError(f"need 1 <= k_min <= k_max <= {w.n}, got [{k_min}, {k_max}]")
-    if alpha not in ALPHA_GRID:
-        raise InvalidAlphaError(f"alpha must be one of {ALPHA_GRID}, got {alpha}")
+    _check_alpha(alpha)
     null_n = getattr(null, "n", None)
     if null_n is not None and null_n != w.n:
         raise ShapeMismatchError(f"null was simulated for N={null_n}, but weights has n={w.n}")
@@ -250,7 +251,7 @@ def scan_k(
     rho_used = _check_rho(float(rho)) if rho is not None else estimate_rho(w, y)
     null_rho = getattr(null, "rho", None)
     if null_rho is not None:
-        null_cell, cell = (RHO_GRID[DEFAULT_TABLE._snap_rho(r)] for r in (null_rho, rho_used))
+        null_cell, cell = (RHO_GRID[_rho_row(r)] for r in (null_rho, rho_used))
         if null_cell != cell:
             warnings.warn(
                 f"null was simulated at rho={null_rho:g} (table cell {null_cell:g}), but the "

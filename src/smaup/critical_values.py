@@ -11,8 +11,6 @@ The data is a versioned asset: bump ``TABLE_VERSION`` whenever entries change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidAlphaError
@@ -23,8 +21,6 @@ __all__ = [
     "RHO_GRID",
     "N_GRID",
     "ALPHA_GRID",
-    "CriticalValueTable",
-    "DEFAULT_TABLE",
     "critical_value",
     "export_critical_values_csv",
 ]
@@ -85,103 +81,49 @@ _TABLE_DATA: dict[float, dict[float, tuple[float, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class CriticalValueTable:
-    """Critical values on a (rho, alpha, N) grid with nearest-cell lookup."""
-
-    rho_grid: tuple[float, ...]
-    n_grid: tuple[int, ...]
-    alpha_grid: tuple[float, ...]
-    values: np.ndarray  # shape (len(rho_grid), len(alpha_grid), len(n_grid))
-    version: str = TABLE_VERSION
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        expected = (len(self.rho_grid), len(self.alpha_grid), len(self.n_grid))
-        if arr.shape != expected:
-            raise ValueError(f"table shape {arr.shape} != grid shape {expected}")
-        # Stricter alpha must never have the smaller critical value.
-        for ir in range(arr.shape[0]):
-            for jn in range(arr.shape[2]):
-                col = arr[ir, :, jn]
-                if not (col[0] >= col[1] >= col[2]):
-                    raise ValueError(
-                        f"alpha ordering violated at rho={self.rho_grid[ir]}, "
-                        f"N={self.n_grid[jn]}: {col.tolist()}"
-                    )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, CriticalValueTable):
-            return NotImplemented
-        return (
-            self.rho_grid == other.rho_grid
-            and self.n_grid == other.n_grid
-            and self.alpha_grid == other.alpha_grid
-            and np.array_equal(self.values, other.values)
-        )
-
-    def _alpha_index(self, alpha: float) -> int:
-        for idx, a in enumerate(self.alpha_grid):
-            if abs(a - alpha) < 1e-12:
-                return idx
-        raise InvalidAlphaError(
-            f"alpha must be one of {self.alpha_grid}, got {alpha}"
-        )
-
-    def _snap_rho(self, rho: float) -> int:
-        grid = np.asarray(self.rho_grid)
-        dist = np.abs(grid - rho)
-        # tie-break toward the grid value closer to zero
-        order = sorted(range(grid.size), key=lambda i: (dist[i], abs(grid[i])))
-        return order[0]
-
-    def _snap_n(self, n: int) -> int:
-        grid = np.asarray(self.n_grid)
-        clamped = min(max(n, grid[0]), grid[-1])
-        return int(np.argmin(np.abs(grid - clamped)))
-
-    def lookup(self, n: int, rho: float, alpha: float) -> float:
-        """Nearest-grid-cell critical value for (N, rho) at level alpha.
-
-        A rho outside (-1, 1), nan included, raises NumericalError.
-        """
-        ja = self._alpha_index(alpha)
-        return float(self.values[self._snap_rho(_check_rho(rho)), ja, self._snap_n(n)])
-
-    def to_csv(self) -> str:
-        """Long-format export: ``rho,n,alpha,value`` rows."""
-        lines = ["rho,n,alpha,value"]
-        for ir, rho in enumerate(self.rho_grid):
-            for jn, n in enumerate(self.n_grid):
-                for ja, alpha in enumerate(self.alpha_grid):
-                    lines.append(f"{rho},{n},{alpha},{self.values[ir, ja, jn]:.5f}")
-        return "\n".join(lines) + "\n"
+def _ordered_by_alpha(values: np.ndarray) -> np.ndarray:
+    """``values`` if a stricter alpha never has the smaller critical value."""
+    bad = np.argwhere(~(np.diff(values, axis=1) <= 0))
+    if bad.size:
+        ir, _, jn = bad[0]
+        raise ValueError(f"alpha ordering violated at rho={RHO_GRID[ir]}, N={N_GRID[jn]}: "
+                         f"{values[ir, :, jn].tolist()}")
+    return values
 
 
-def _build_default() -> CriticalValueTable:
-    arr = np.empty((len(RHO_GRID), len(ALPHA_GRID), len(N_GRID)))
-    for ir, rho in enumerate(RHO_GRID):
-        for ja, alpha in enumerate(ALPHA_GRID):
-            arr[ir, ja, :] = _TABLE_DATA[rho][alpha]
-    return CriticalValueTable(
-        rho_grid=RHO_GRID, n_grid=N_GRID, alpha_grid=ALPHA_GRID, values=arr
-    )
+# Read-only, indexed [rho row, alpha column, N column].
+_VALUES = _ordered_by_alpha(np.array([[_TABLE_DATA[r][a] for a in ALPHA_GRID] for r in RHO_GRID]))
+_VALUES.flags.writeable = False
 
 
-DEFAULT_TABLE = _build_default()
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` if it is exactly one of ALPHA_GRID; otherwise InvalidAlphaError."""
+    if alpha not in ALPHA_GRID:
+        raise InvalidAlphaError(f"alpha must be one of {ALPHA_GRID}, got {alpha}")
+    return alpha
+
+
+def _rho_row(rho: float) -> int:
+    """Grid row nearest rho, ties toward 0; NumericalError unless |rho| < 1."""
+    _check_rho(rho)
+    return min(range(len(RHO_GRID)), key=lambda i: (abs(RHO_GRID[i] - rho), abs(RHO_GRID[i])))
 
 
 def critical_value(n: int, rho: float, alpha: float) -> float:
     """Critical value for a test on N areas at autocorrelation rho and level alpha.
 
-    rho, which must lie in (-1, 1), snaps to the closest grid row (ties toward
-    0) and N to the closest grid column (clamped to [25, 900]).
+    alpha must be one of ALPHA_GRID. rho, which must lie in (-1, 1), snaps to
+    the closest grid row (ties toward 0) and N to the closest grid column,
+    which clamps it to [25, 900].
     """
-    return DEFAULT_TABLE.lookup(n, rho, alpha)
+    column = ALPHA_GRID.index(_check_alpha(alpha))
+    n_column = min(range(len(N_GRID)), key=lambda j: abs(N_GRID[j] - n))
+    return float(_VALUES[_rho_row(rho), column, n_column])
 
 
 def export_critical_values_csv() -> str:
-    return DEFAULT_TABLE.to_csv()
+    """Long-format export: ``rho,n,alpha,value`` rows."""
+    rows = (f"{rho},{n},{alpha},{_VALUES[ir, ja, jn]:.5f}"
+            for ir, rho in enumerate(RHO_GRID) for jn, n in enumerate(N_GRID)
+            for ja, alpha in enumerate(ALPHA_GRID))
+    return "\n".join(["rho,n,alpha,value", *rows]) + "\n"

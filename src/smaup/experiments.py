@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__ as _toolkit_version
 from .core import m_statistic
-from .critical_values import RHO_GRID, critical_value
+from .critical_values import RHO_GRID, _check_alpha, critical_value
 from .errors import (
     CorruptPartitionError,
     ExperimentStallError,
@@ -382,6 +382,7 @@ def _rejection_experiment(
     rho_values = [float(rho) for rho in rho_values]
     _refuse_repeats("N", n_values)
     _refuse_repeats("rho", rho_values)
+    _check_alpha(alpha)
     lattices = {n: lattice_for_area_count(n) for n in n_values}
     pairs = [(n, rho) for n in n_values for rho in rho_values]
     per_cell = _accepted_records([(lattices[n], rho) for n, rho in pairs], want_rejection,
@@ -487,14 +488,13 @@ class EffectsCell:
 
 @dataclass(frozen=True)
 class EffectsSummary:
-    """All cells of one effects run plus reproduction metadata."""
+    """All cells of one effects run; ``to_dict`` adds the reproduction metadata."""
 
     cells: tuple[EffectsCell, ...]
     instances: int
     r: int
     master_seed: int
     rho_isolation: bool
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def cell(self, n: int, rho: float, k: int) -> EffectsCell:
         for c in self.cells:
@@ -509,7 +509,7 @@ class EffectsSummary:
             "r": self.r,
             "seed": self.master_seed,
             "rho_isolation": self.rho_isolation,
-            "metadata": dict(self.metadata),
+            "metadata": {"stream_version": _STREAM_VERSION, "rcm_divisor": "abs(mean)"},
             "cells": [
                 {
                     "n": c.n,
@@ -646,10 +646,6 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
         r=config.r,
         master_seed=config.master_seed,
         rho_isolation=config.rho_isolation,
-        metadata={
-            "stream_version": _STREAM_VERSION,
-            "rcm_divisor": "abs(mean)",
-        },
     )
 
 

@@ -31,7 +31,7 @@ from smaup import (
     size_experiment,
     tau_of_theta,
 )
-from smaup.critical_values import ALPHA_GRID, DEFAULT_TABLE, N_GRID, RHO_GRID
+from smaup.critical_values import ALPHA_GRID, N_GRID, RHO_GRID, _TABLE_DATA
 
 mp.dps = 50
 
@@ -104,9 +104,7 @@ def test_criterion_01_critical_value_table_fidelity():
     for rho_s, n_s, alpha_s, value_s in rows:
         exported[(float(rho_s), int(n_s), float(alpha_s))] = float(value_s)
     entries_ok = len(exported) == 162 and all(
-        exported[(rho, n, alpha)] == DEFAULT_TABLE.values[RHO_GRID.index(rho),
-                                                          ALPHA_GRID.index(alpha),
-                                                          N_GRID.index(n)]
+        exported[(rho, n, alpha)] == _TABLE_DATA[rho][alpha][N_GRID.index(n)]
         for rho in RHO_GRID for n in N_GRID for alpha in ALPHA_GRID
     )
     spots_ok = (

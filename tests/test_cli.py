@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,28 @@ class TestTestCommand:
                               "--k", "50", "--null", str(null_path)], capsys)
         assert code == 2
         assert "N=25" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rho", float("nan"), r"\|rho\| must be < 1, got rho=nan"),
+        ("rho", 1.5, r"\|rho\| must be < 1, got rho=1.5"),
+        ("values", float("nan"), "null contains non-finite values"),
+    ], ids=["rho-nan", "rho-1.5", "values-nan"])
+    def test_malformed_null_file_exit_3(self, tmp_path, weights_file, values_file, capsys,
+                                        field, value, message):
+        # a bad null rho used to snap to a table row, and a nan value lowered every pseudo-p
+        doc = json.loads(NullDistribution(n=100, rho=0.0, values=np.linspace(0.01, 0.4, 20),
+                                          replicates=20).to_json())
+        if field == "rho":
+            doc["rho"] = value
+        else:
+            doc["values"][3] = value
+        null_path = tmp_path / "bad_null.json"
+        null_path.write_text(json.dumps(doc))
+        code, out, err = run(["scan", "--values", values_file, "--weights", weights_file,
+                              "--k-min", "90", "--null", str(null_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert re.search(message, err)
 
     def test_null_for_another_rho_warns(self, tmp_path, weights_file, values_file, capsys):
         # the values field estimates rho at -0.28, in the table's -0.3 cell

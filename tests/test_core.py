@@ -16,6 +16,7 @@ from smaup import (
     SarSpec,
     ShapeMismatchError,
     build_lattice_rook,
+    critical_value,
     estimate_rho,
     eta_of_theta,
     generate_sar,
@@ -177,6 +178,16 @@ class TestSmaupTest:
     def test_alpha_validation(self, w30, flat_field):
         with pytest.raises(InvalidAlphaError):
             smaup_test(flat_field, w30, k=10, alpha=0.2)
+
+    def test_alpha_off_the_grid_refused_by_lookup_test_and_verdict(self, w30, flat_field):
+        # 1 - 0.9 is 0.09999999999999998: near 0.1, but not the tabulated level
+        alpha = 1 - 0.9
+        with pytest.raises(InvalidAlphaError):
+            critical_value(900, 0.0, alpha)
+        with pytest.raises(InvalidAlphaError):
+            smaup_test(flat_field, w30, k=10, alpha=alpha)
+        with pytest.raises(InvalidAlphaError):
+            smaup_test(flat_field, w30, k=10).rejects(alpha)
 
     def test_json_round_trippable(self, w30, flat_field):
         result = smaup_test(flat_field, w30, k=450, null=[0.1, 0.2])

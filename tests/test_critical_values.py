@@ -2,26 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smaup import (
     ALPHA_GRID,
-    DEFAULT_TABLE,
     N_GRID,
     RHO_GRID,
-    CriticalValueTable,
     InvalidAlphaError,
     NumericalError,
     critical_value,
     export_critical_values_csv,
 )
+from smaup.critical_values import _TABLE_DATA, _VALUES, _ordered_by_alpha
+
+
+def exported_cells() -> dict:
+    """{(rho, n, alpha): value} parsed from the CSV export."""
+    cells = {}
+    for line in export_critical_values_csv().splitlines()[1:]:
+        rho, n, alpha, value = line.split(",")
+        cells[float(rho), int(n), float(alpha)] = float(value)
+    return cells
 
 
 class TestTableData:
     def test_full_grid_present(self):
-        assert DEFAULT_TABLE.values.shape == (9, 3, 6)
-        assert DEFAULT_TABLE.values.size == 162
-        assert np.all(DEFAULT_TABLE.values > 0)
-        assert np.all(DEFAULT_TABLE.values < 1)
+        assert _VALUES.shape == (9, 3, 6)
+        assert _VALUES.size == 162
+        assert np.all(_VALUES > 0)
+        assert np.all(_VALUES < 1)
+        assert not _VALUES.flags.writeable
 
     def test_published_spot_checks(self):
         assert critical_value(100, 0.0, 0.05) == 0.15746
@@ -37,20 +48,11 @@ class TestTableData:
                 v10 = critical_value(n, rho, 0.1)
                 assert v01 >= v05 >= v10
 
-    def test_loader_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"table shape \(9, 3, 5\) != grid shape \(9, 3, 6\)"):
-            CriticalValueTable(
-                rho_grid=RHO_GRID, n_grid=N_GRID, alpha_grid=ALPHA_GRID,
-                values=DEFAULT_TABLE.values[:, :, :5],
-            )
-
     def test_loader_rejects_disordered_alphas(self):
-        values = DEFAULT_TABLE.values.copy()
+        values = _VALUES.copy()
         values[0, 0, 0], values[0, 2, 0] = values[0, 2, 0], values[0, 0, 0]
-        with pytest.raises(ValueError, match="ordering"):
-            CriticalValueTable(
-                rho_grid=RHO_GRID, n_grid=N_GRID, alpha_grid=ALPHA_GRID, values=values
-            )
+        with pytest.raises(ValueError, match=r"ordering violated at rho=-0\.9, N=25"):
+            _ordered_by_alpha(values)
 
 
 class TestSnapping:
@@ -86,20 +88,32 @@ class TestSnapping:
             critical_value(100, 0.0, 0.025)
 
 
+class TestLookupProperty:
+    CELLS = exported_cells()
+    MIDPOINTS = (-0.8, -0.6, -0.4, -0.15, 0.15, 0.4, 0.6, 0.8)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        rho=st.floats(-1, 1, exclude_min=True, exclude_max=True) | st.sampled_from(MIDPOINTS),
+        alpha=st.sampled_from(ALPHA_GRID),
+    )
+    def test_matches_brute_force_nearest_cell(self, n, rho, alpha):
+        rhos = sorted({cell[0] for cell in self.CELLS})
+        ns = sorted({cell[1] for cell in self.CELLS})
+        nearest_rho = min(rhos, key=lambda g: (abs(g - rho), abs(g)))
+        nearest_n = min(ns, key=lambda g: abs(g - n))
+        assert critical_value(n, rho, alpha) == self.CELLS[nearest_rho, nearest_n, alpha]
+
+
 class TestExport:
     def test_csv_has_all_entries_and_round_trips(self):
         text = export_critical_values_csv()
-        lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-        assert lines[0] == "rho,n,alpha,value"
-        rows = [ln.split(",") for ln in lines[1:]]
-        assert len(rows) == 162
-        rebuilt = np.empty_like(DEFAULT_TABLE.values)
-        for rho_s, n_s, alpha_s, value_s in rows:
-            ir = RHO_GRID.index(float(rho_s))
-            jn = N_GRID.index(int(n_s))
-            ja = ALPHA_GRID.index(float(alpha_s))
-            rebuilt[ir, ja, jn] = float(value_s)
-        assert np.array_equal(rebuilt, DEFAULT_TABLE.values)
+        assert text.splitlines()[0] == "rho,n,alpha,value"
+        cells = exported_cells()
+        assert len(cells) == 162
+        assert all(cells[rho, n, alpha] == _TABLE_DATA[rho][alpha][N_GRID.index(n)]
+                   for rho in RHO_GRID for n in N_GRID for alpha in ALPHA_GRID)
 
     def test_csv_preserves_published_digits(self):
         text = export_critical_values_csv()

@@ -14,6 +14,7 @@ from smaup import (
     EffectsConfig,
     EffectsSummary,
     ExperimentStallError,
+    InvalidAlphaError,
     InvalidKError,
     NullDistribution,
     PowerSizeReport,
@@ -329,6 +330,15 @@ class TestPowerAndSize:
         with pytest.raises(RepeatedValueError, match="rho=0.0 given twice"):
             runner([100], [0, 0.0], instances=1, r=1)
 
+    @pytest.mark.parametrize("runner", [power_experiment, size_experiment])
+    def test_untabulated_alpha_rejected_before_any_instance(self, monkeypatch, runner):
+        def no_run(*args):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(experiments, "_fan_out", no_run)
+        with pytest.raises(InvalidAlphaError, match="got 0.025"):
+            runner([100], [0.0], instances=40, alpha=0.025, master_seed=1)
+
     def test_report_json_and_csv(self):
         report = power_experiment([100], [0.0], instances=3, master_seed=14)
         doc = json.loads(report.to_json())
@@ -371,7 +381,7 @@ class TestEffects:
         )
         summary = effects_experiment(config)
         assert summary.rho_isolation
-        assert summary.metadata["rcm_divisor"] == "abs(mean)"
+        assert summary.to_dict()["metadata"]["rcm_divisor"] == "abs(mean)"
 
     def test_missing_cell_raises(self):
         summary = EffectsSummary(cells=(), instances=1, r=1, master_seed=0, rho_isolation=True)
@@ -440,7 +450,7 @@ class TestEffects:
                                instances=2, r=3, master_seed=24)
         summary = effects_experiment(config)
         assert sorted(grown) == [12] * 6 + [53] * 6 + [90] * 6
-        assert summary.metadata["stream_version"] == 4
+        assert summary.to_dict()["metadata"]["stream_version"] == 4
 
     def test_repeated_rho_or_k_rejected(self):
         # a copy would be simulated again as a cell of its own, and

@@ -12,7 +12,7 @@ API_MODULES = (core, critical_values, errors, experiments, regionalize, sar, sta
 def test_all_is_every_api_modules_all():
     expected = ["__version__", *(name for module in API_MODULES for name in module.__all__)]
     assert smaup.__all__ == expected
-    assert len(expected) == len(set(expected)) == 71
+    assert len(expected) == len(set(expected)) == 69
 
 
 def test_each_name_is_its_defining_modules_object():
