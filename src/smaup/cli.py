@@ -8,8 +8,8 @@ echoed so the run can be reproduced. Every output artifact embeds the
 toolkit version, the master seed, and a hash of the effective configuration,
 and an output path of ``-`` means stdout.
 
-Exit codes: 0 success, 2 configuration/parse failure, 3 numerical failure,
-4 experiment stall.
+Exit codes: 0 success, else the error class's ``exit_code`` (2
+configuration/parse failure, 3 numerical failure, 4 experiment stall).
 """
 
 from __future__ import annotations
@@ -25,17 +25,8 @@ from pathlib import Path
 
 from ._version import __version__
 from .core import _first_safe_k, scan_k, smaup_test
-from .critical_values import TABLE_VERSION, export_critical_values_csv
-from .errors import (
-    DegenerateInputError,
-    DegenerateSampleError,
-    ExperimentStallError,
-    NumericalError,
-    RepeatedValueError,
-    RetryExhaustedError,
-    SmaupError,
-    UndefinedRatioError,
-)
+from .critical_values import ALPHA_GRID, TABLE_VERSION, export_critical_values_csv
+from .errors import RepeatedValueError, SmaupError
 from .experiments import (
     EffectsConfig,
     NullDistribution,
@@ -59,14 +50,6 @@ from .weights import (
     from_adjacency_text,
     from_geojson,
     is_connected,
-)
-
-_NUMERICAL_ERRORS = (
-    NumericalError,
-    DegenerateInputError,
-    DegenerateSampleError,
-    UndefinedRatioError,
-    RetryExhaustedError,
 )
 
 
@@ -438,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--null", metavar="FILE")
     p.add_argument("--rho", type=float, default=None, help="skip estimation, use this rho")
-    p.add_argument("--alpha", type=float, default=0.05, choices=[0.01, 0.05, 0.1])
+    p.add_argument("--alpha", type=float, default=0.05, choices=ALPHA_GRID)
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("scan", help="scan aggregation levels for the minimum safe k")
     p.add_argument("--values", required=True, metavar="CSV")
     p.add_argument("--weights", required=True, metavar="JSON")
-    p.add_argument("--alpha", type=float, default=0.05, choices=[0.01, 0.05, 0.1])
+    p.add_argument("--alpha", type=float, default=0.05, choices=ALPHA_GRID)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--null", metavar="FILE")
@@ -471,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rhos", type=_float_list, default=[0.0],
                        help="comma list of rho values (use --rhos=-0.9,0 for negatives)")
         p.add_argument("--instances", type=int, required=True)
-        p.add_argument("--alpha", type=float, default=0.05, choices=[0.01, 0.05, 0.1])
+        p.add_argument("--alpha", type=float, default=0.05, choices=ALPHA_GRID)
         p.add_argument("--r", type=int, default=30)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", metavar="FILE")
@@ -509,9 +492,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SmaupError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ExperimentStallError):
-            return 4
-        return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -104,48 +104,55 @@ def m_statistic(rho, theta):
 
 @dataclass(frozen=True)
 class SmaupResult:
-    """Outcome of one MAUP-sensitivity test.
-
-    ``decision[alpha]`` is True iff ``m_value > critical_values[alpha]``.
-    ``pseudo_p`` and ``pseudo_p_decision`` are present only when a simulated
-    null vector was supplied; :meth:`rejects` then follows the pseudo-p.
+    """Outcome of one MAUP-sensitivity test: what the test measured, with a
+    ``pseudo_p`` only when a simulated null vector was supplied. ``theta``,
+    ``decision`` and ``pseudo_p_decision`` follow from these fields, each by
+    its one rule, so a result cannot contradict itself.
     """
 
     m_value: float
-    theta: float
     rho_used: float
     n: int
     k: int
     critical_values: dict[float, float]
-    decision: dict[float, bool]
     pseudo_p: float | None = None
-    pseudo_p_decision: dict[float, bool] | None = None
 
     @property
-    def _verdicts(self) -> dict[float, bool]:
-        return self.decision if self.pseudo_p_decision is None else self.pseudo_p_decision
+    def theta(self) -> float:
+        """The aggregation ratio k / n."""
+        return self.k / self.n
+
+    @property
+    def decision(self) -> dict[float, bool]:
+        """``decision[alpha]`` is True iff ``m_value > critical_values[alpha]``."""
+        return {a: bool(self.m_value > c) for a, c in self.critical_values.items()}
+
+    @property
+    def pseudo_p_decision(self) -> dict[float, bool] | None:
+        """``pseudo_p_decision[alpha]`` is True iff ``pseudo_p < alpha``; None without a null."""
+        if self.pseudo_p is None:
+            return None
+        return {a: bool(self.pseudo_p < a) for a in self.critical_values}
 
     def rejects(self, alpha: float) -> bool:
         """The test's verdict at ``alpha``: the pseudo-p decision when a
         simulated null was supplied, otherwise the critical-value decision."""
-        if alpha not in self._verdicts:
+        verdicts = self.decision if self.pseudo_p is None else self.pseudo_p_decision
+        if alpha not in verdicts:
             raise InvalidAlphaError(f"no decision recorded at alpha={alpha}")
-        return self._verdicts[alpha]
+        return verdicts[alpha]
 
     def significance_stars(self) -> str:
         """Publication convention: *** / ** / * for rejection at 0.01 / 0.05 /
         0.1, by the same verdict as :meth:`rejects`."""
-        verdicts = self._verdicts
-        if verdicts.get(0.01):
-            return "***"
-        if verdicts.get(0.05):
-            return "**"
-        if verdicts.get(0.1):
-            return "*"
+        for alpha, stars in zip(ALPHA_GRID, ("***", "**", "*")):
+            if self.rejects(alpha):
+                return stars
         return ""
 
     def to_dict(self) -> dict:
-        d = {
+        pp_decision = self.pseudo_p_decision
+        return {
             "toolkit_version": _toolkit_version,
             "m_value": self.m_value,
             "theta": self.theta,
@@ -153,16 +160,11 @@ class SmaupResult:
             "n": self.n,
             "k": self.k,
             "critical_values": {str(a): v for a, v in self.critical_values.items()},
-            "decision": {str(a): bool(v) for a, v in self.decision.items()},
+            "decision": {str(a): v for a, v in self.decision.items()},
             "pseudo_p": self.pseudo_p,
-            "pseudo_p_decision": (
-                None
-                if self.pseudo_p_decision is None
-                else {str(a): bool(v) for a, v in self.pseudo_p_decision.items()}
-            ),
+            "pseudo_p_decision": None if pp_decision is None else {str(a): v for a, v in pp_decision.items()},
             "params": dict(DEFAULT_PARAMS),
         }
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -261,26 +263,11 @@ def scan_k(
             )
     crit = {a: critical_value(w.n, rho_used, a) for a in ALPHA_GRID}
     ks = range(k_max, k_min - 1, -1)
-    thetas = np.asarray(ks, dtype=np.float64) / w.n
-    results = []
-    for k, theta, m in zip(ks, thetas, m_statistic(rho_used, thetas)):
-        if nv is None:
-            pp, pp_decision = None, None
-        else:
-            pp = _pseudo_p(nv, m)
-            pp_decision = {a: bool(pp < a) for a in ALPHA_GRID}
-        results.append(SmaupResult(
-            m_value=float(m),
-            theta=float(theta),
-            rho_used=rho_used,
-            n=w.n,
-            k=k,
-            critical_values=dict(crit),
-            decision={a: bool(m > crit[a]) for a in ALPHA_GRID},
-            pseudo_p=pp,
-            pseudo_p_decision=pp_decision,
-        ))
-    return results
+    ms = m_statistic(rho_used, np.asarray(ks, dtype=np.float64) / w.n)
+    return [
+        SmaupResult(float(m), rho_used, w.n, k, dict(crit), None if nv is None else _pseudo_p(nv, m))
+        for k, m in zip(ks, ms)
+    ]
 
 
 def min_safe_k(

@@ -3,6 +3,8 @@
 Every error raised by the library derives from :class:`SmaupError`, so callers
 can catch one base class. Most errors also derive from the matching builtin
 (``ValueError``, ``RuntimeError``, ...) to stay friendly to generic handlers.
+Each class declares the CLI's ``exit_code`` for it: 2 for a configuration or
+parse failure, 3 for a numerical failure, 4 for an experiment stall.
 """
 
 __all__ = [
@@ -29,6 +31,8 @@ __all__ = [
 class SmaupError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 2
+
 
 class InvalidDimensionError(SmaupError, ValueError):
     """Lattice dimensions are zero, negative, or overflow the area count."""
@@ -49,9 +53,13 @@ class ShapeMismatchError(SmaupError, ValueError):
 class DegenerateInputError(SmaupError, ValueError):
     """Input carries no usable signal (e.g. a constant variable)."""
 
+    exit_code = 3
+
 
 class NumericalError(SmaupError, ArithmeticError):
     """A linear system or likelihood evaluation failed numerically."""
+
+    exit_code = 3
 
 
 class RetryExhaustedError(SmaupError, RuntimeError):
@@ -59,6 +67,8 @@ class RetryExhaustedError(SmaupError, RuntimeError):
 
     Carries the closest attempt so callers can inspect or keep it.
     """
+
+    exit_code = 3
 
     def __init__(self, message, best_attempt=None, best_rho=None):
         super().__init__(message)
@@ -89,9 +99,13 @@ class InsufficientDataError(SmaupError, ValueError):
 class UndefinedRatioError(SmaupError, ZeroDivisionError):
     """A relative-change ratio has a zero denominator."""
 
+    exit_code = 3
+
 
 class DegenerateSampleError(SmaupError, ValueError):
     """Both samples of a two-sample test carry zero spread."""
+
+    exit_code = 3
 
 
 class InvalidAlphaError(SmaupError, ValueError):
@@ -103,6 +117,8 @@ class ExperimentStallError(SmaupError, RuntimeError):
 
     Carries the observed rate over the sliding window that triggered the stall.
     """
+
+    exit_code = 4
 
     def __init__(self, message, rate=None):
         super().__init__(message)

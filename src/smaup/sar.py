@@ -504,10 +504,7 @@ def area_variable_from_csv(text: str, w: SpatialWeights) -> AreaVariable:
         if line.lower() == "value":
             continue
         try:
-            value = float(line)
+            values.append(float(line))
         except ValueError:
             raise ShapeMismatchError(f"not a number: {line!r}") from None
-        if not math.isfinite(value):
-            raise ShapeMismatchError(f"not a finite number: {line!r}")
-        values.append(value)
     return AreaVariable(values=np.asarray(values, dtype=np.float64), weights=w)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smaup import NullDistribution, SpatialWeights, build_lattice_rook, smaup_test
+from smaup import NullDistribution, SpatialWeights, build_lattice_rook, cli, errors, smaup_test
 from smaup.cli import main
 from smaup.sar import area_variable_from_csv
 
@@ -261,13 +261,13 @@ class TestTestCommand:
         assert code == 3
         assert "constant" in err
 
-    def test_non_finite_values_exit_2(self, tmp_path, weights_file, values_file, capsys):
+    def test_non_finite_values_exit_3(self, tmp_path, weights_file, values_file, capsys):
         lines = open(values_file).read().splitlines()
         bad = tmp_path / "nan.csv"
         bad.write_text("\n".join(lines[:-1] + ["nan"]) + "\n")
         code, out, err = run(["test", "--values", str(bad), "--weights", weights_file,
                               "--k", "10"], capsys)
-        assert code == 2
+        assert code == 3
         assert "finite" in err
 
     @pytest.mark.parametrize("command", [["test", "--k", "30"], ["scan", "--k-min", "28"]],
@@ -522,6 +522,25 @@ class TestExportCommand:
         body = "\n".join(lines)
         assert "0.0,100,0.05,0.15746" in body
         assert "-0.9,25,0.01,0.83702" in body
+
+
+NUMERICAL_FAILURES = {"NumericalError", "DegenerateInputError", "DegenerateSampleError",
+                      "UndefinedRatioError", "RetryExhaustedError"}
+
+
+@pytest.mark.parametrize("exc_type", [*(getattr(errors, name) for name in errors.__all__),
+                                      ValueError, OSError, KeyError], ids=lambda t: t.__name__)
+def test_exit_code_of_each_error_class(monkeypatch, capsys, exc_type):
+    def fail(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "_cmd_export_critical_values", fail)
+    code, out, err = run(["export-critical-values"], capsys)
+    if exc_type is errors.ExperimentStallError:
+        assert code == 4
+    else:
+        assert code == (3 if exc_type.__name__ in NUMERICAL_FAILURES else 2)
+    assert out == "" and "boom" in err
 
 
 INPUTS = ["--values", "y.csv", "--weights", "w.json"]

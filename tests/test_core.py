@@ -6,9 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from smaup import (
+    ALPHA_GRID,
+    AreaVariable,
     InvalidAlphaError,
     InvalidKError,
     NullDistribution,
@@ -335,3 +339,32 @@ class TestRhoMismatchedNull:
             smaup_test(y, w, 30, null=self.null_at(0.9), rho=0.85)
             # a bare vector carries no rho and is taken as given
             smaup_test(y, w, 30, null=self.null_at(0.9).values)
+
+
+class TestVerdictRules:
+    """Every verdict a result reports follows from what the test measured."""
+
+    W = build_lattice_rook(6, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3), min_size=36, max_size=36),
+        rho=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        null=st.none() | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    )
+    def test_decisions_stars_and_theta_follow_the_measurements(self, values, rho, null):
+        results = scan_k(AreaVariable(np.asarray(values), self.W), self.W, null=null, rho=rho)
+        assert [r.k for r in results] == list(range(36, 0, -1))
+        for r in results:
+            by_cv = {a: r.m_value > r.critical_values[a] for a in ALPHA_GRID}
+            by_pp = None if null is None else {a: r.pseudo_p < a for a in ALPHA_GRID}
+            verdicts = by_cv if null is None else by_pp
+            for alpha in ALPHA_GRID:
+                assert r.rejects(alpha) == verdicts[alpha]
+            stars = next((s for a, s in ((0.01, "***"), (0.05, "**"), (0.1, "*")) if verdicts[a]), "")
+            assert r.significance_stars() == stars
+            assert r.theta == r.k / r.n
+            doc = r.to_dict()
+            assert doc["decision"] == {str(a): v for a, v in by_cv.items()}
+            assert doc["pseudo_p_decision"] == (
+                None if by_pp is None else {str(a): v for a, v in by_pp.items()})
