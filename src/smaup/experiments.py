@@ -74,8 +74,8 @@ from .sar import (
     w_eigenvalues,
 )
 from .seeding import derive_rng, derive_seed
-from .stats import (_levene, _levene_terms, _mean, _relative_change, _sample, _variance, _welch,
-                    _welch_terms)
+from .stats import (_levene, _levene_rejects, _levene_terms, _mean, _relative_change, _variance,
+                    _welch, _welch_terms)
 from .weights import SpatialWeights, build_lattice_rook
 
 __all__ = [
@@ -229,7 +229,7 @@ def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
     for _ in range(r):
         labels = np.fromiter(_grow(w, k, bitgen), np.int64, w.n)
         sizes = np.bincount(labels)
-        if sizes.size != k or sizes.min() < 1:
+        if sizes.size != k or np.minimum.reduce(sizes) < 1:
             raise CorruptPartitionError(f"grown partition does not use all {k} region labels")
         yield labels, sizes
 
@@ -273,8 +273,8 @@ def _accepted_instance(
             k = int(k_rng.integers(lo, hi + 1))
             seed_path = (master_seed, *path_prefix, _ROLE_REGIONS, attempt, k_try)
             if all(
-                _levene(*y_terms, *_levene_terms(_sample(np.bincount(labels, y.values) / sizes)))
-                .rejects(_FILTER_ALPHA) == want_rejection
+                _levene_rejects(y_terms, np.bincount(labels, y.values) / sizes, _FILTER_ALPHA)
+                == want_rejection
                 for labels, sizes in _partitions(w, k, seed_path, r)
             ):
                 rho_hat = estimate_rho(w, y)
@@ -680,8 +680,10 @@ def _fan_out(task, cells: list[tuple], instances: int, workers: int) -> list[lis
     """
     if instances < 1:
         raise ValueError(f"need at least 1 instance or replicate per cell, got {instances}")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     tasks = [(*cell, j) for cell in cells for j in range(instances)]
-    if workers <= 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         results = [task(t) for t in tasks]
     else:
         with __getattr__("ProcessPoolExecutor")(max_workers=workers) as pool:

@@ -157,10 +157,11 @@ def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64) -> list[int]:
         return bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
 
     raw = bitgen.random_raw(n + block)
-    seeds = np.argsort(raw[:n], kind="stable")[:k]
+    seeds = raw[:n].argsort(kind="stable")[:k]
     first = raw[n:].astype("<u8", copy=False).view("<u4").tolist()
     word = chain(first, chain.from_iterable(iter(fill, None))).__next__
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = np.empty(n, np.int64)
+    labels.fill(-1)
     labels[seeds] = np.arange(k)
     unassigned = int.from_bytes(np.packbits(labels < 0, bitorder="little").tobytes(), "little")
     assignment = labels.tolist()

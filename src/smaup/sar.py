@@ -298,7 +298,7 @@ def _log_det_function(w: SpatialWeights):
             if bounds is not None and not _stable(rho, *bounds):
                 return -math.inf
             terms = np.log(np.abs(1.0 - rho * lam)) if complex_spectrum else np.log1p(-rho * lam)
-            return float(np.sum(terms))
+            return float(terms.sum())
 
         return log_det
 

@@ -22,6 +22,14 @@ compare against. This module never imports ``scipy.stats``, and it loads
 take arrays: the per-sample terms are taken along the last axis, and the
 terms of a sample may be arrays of rows, so one call scores many pairs and
 gives each pair's statistic and p-value bit for bit as a call on that pair.
+
+The Monte Carlo acceptance filter needs only Levene's verdict on each
+aggregation. It takes the field's terms once, and per aggregation only the
+mean and squared deviations of the region means' scores; it reads their
+least and greatest score only when the field's scores are all equal, the one
+case in which every score of both groups can be equal. It decides p < alpha
+from the F that ``levene_test`` computes, by the one formula both share, and
+builds no outcome: the verdict and errors are ``levene_test``'s.
 """
 
 from __future__ import annotations
@@ -102,13 +110,17 @@ def _relative_change(before, after, quantity: str):
     return abs(before - after) / abs(before)
 
 
+def _too_short(least: int) -> InsufficientDataError:
+    return InsufficientDataError(
+        f"both samples need at least {least} observation{'s' if least > 1 else ''}"
+    )
+
+
 def _sample(x, least: int = 2) -> np.ndarray:
     """``x`` as a float vector of at least ``least`` values."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.size < least:
-        raise InsufficientDataError(
-            f"both samples need at least {least} observation{'s' if least > 1 else ''}"
-        )
+        raise _too_short(least)
     return arr
 
 
@@ -172,6 +184,9 @@ def welch_t_test(a, b) -> TestOutcome:
     return _welch(*_welch_terms(a), *_welch_terms(b))
 
 
+_IDENTICAL_SCORES = "all deviation scores are identical in both groups"
+
+
 def _levene_terms(x: np.ndarray):
     """One sample's share of Levene's test, along the last axis: size, mean,
     squared deviations, min and max of the scores |x - mean|."""
@@ -179,19 +194,24 @@ def _levene_terms(x: np.ndarray):
     return (z.shape[-1], *_mean_and_ss(z), np.minimum.reduce(z, -1), np.maximum.reduce(z, -1))
 
 
-def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestOutcome:
-    import scipy.special
-
-    if _anywhere((lo_a == hi_a) & (hi_a == lo_b) & (lo_b == hi_b)):
-        raise DegenerateSampleError("all deviation scores are identical in both groups")
+def _levene_f(na, za_bar, ss_a, nb, zb_bar, ss_b):
+    """Levene's F from two samples' terms, as ``(dfd * between, within, dfd)``:
+    F is the quotient of the first two, on (1, dfd) degrees of freedom."""
     z_bar = (na * za_bar + nb * zb_bar) / (na + nb)
     # d * d, not d ** 2: a scalar's ** 2 calls libm pow, which can round
     # otherwise than the product an array's ** 2 takes
     da, db = za_bar - z_bar, zb_bar - z_bar
     between = na * (da * da) + nb * (db * db)
-    within = ss_a + ss_b
     dfd = na + nb - 2
-    scaled = dfd * between
+    return dfd * between, ss_a + ss_b, dfd
+
+
+def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestOutcome:
+    import scipy.special
+
+    if _anywhere((lo_a == hi_a) & (hi_a == lo_b) & (lo_b == hi_b)):
+        raise DegenerateSampleError(_IDENTICAL_SCORES)
+    scaled, within, dfd = _levene_f(na, za_bar, ss_a, nb, zb_bar, ss_b)
     # where no score varies within either group F is infinite: set it so
     # rather than divide by zero
     flat = within == 0.0
@@ -199,6 +219,30 @@ def _levene(na, za_bar, ss_a, lo_a, hi_a, nb, zb_bar, ss_b, lo_b, hi_b) -> TestO
         scaled, within = np.where(flat, np.inf, scaled), np.where(flat, 1.0, within)
     stat = scaled / within
     return _outcome(stat, scipy.special.fdtrc(1.0, dfd, stat))
+
+
+def _levene_rejects(field, x: np.ndarray, alpha: float) -> bool:
+    """``_levene(*field, *_levene_terms(x)).rejects(alpha)`` for a float vector
+    ``x`` against a sample's terms ``field``, with the same errors, computed
+    without building the outcome: the acceptance filter's verdict.
+
+    The degeneracy rule needs ``x``'s least and greatest score only when the
+    field's own scores are all equal, the one case in which it can hold.
+    """
+    import scipy.special
+
+    na, za_bar, ss_a, lo_a, hi_a = field
+    nb = x.shape[-1]
+    if nb < 2:
+        raise _too_short(2)
+    z = np.abs(x - _mean(x))
+    zb_bar, ss_b = _mean_and_ss(z)
+    if lo_a == hi_a and hi_a == np.minimum.reduce(z) == np.maximum.reduce(z):
+        raise DegenerateSampleError(_IDENTICAL_SCORES)
+    scaled, within, dfd = _levene_f(na, za_bar, ss_a, nb, zb_bar, ss_b)
+    # F is infinite where no score varies within either group, as in _levene
+    stat = scaled / within if within != 0.0 else np.inf
+    return scipy.special.fdtrc(1.0, dfd, stat) < alpha
 
 
 def levene_test(a, b) -> TestOutcome:

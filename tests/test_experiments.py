@@ -228,6 +228,18 @@ class TestFanOut:
         with pytest.raises(ValueError, match="at least 1 instance"):
             run()
 
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
+    @pytest.mark.parametrize("run", [
+        lambda workers: generate_null(100, 0.0, replicates=2, r=2, master_seed=1, workers=workers),
+        lambda workers: power_experiment([100], [0.0], instances=2, r=2, workers=workers),
+        lambda workers: size_experiment([100], [0.0], instances=2, r=2, workers=workers),
+        lambda workers: effects_experiment(EffectsConfig(k_lists={100: (12,)}, instances=2, r=2),
+                                           workers=workers),
+    ], ids=["null", "power", "size", "effects"])
+    def test_every_harness_needs_a_worker(self, run, workers):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run(workers)
+
     @pytest.mark.parametrize("run", [
         lambda: generate_null(100, 0.0, replicates=3, r=0),
         lambda: power_experiment([100], [0.0], instances=2, r=0),

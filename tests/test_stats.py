@@ -28,6 +28,7 @@ from smaup import (
 from smaup.sar import area_variable_to_csv
 from smaup.stats import (
     _levene,
+    _levene_rejects,
     _levene_terms,
     _mean,
     _mean_and_ss,
@@ -355,6 +356,15 @@ def outcome_or_error(test, *args):
     return repr((out.statistic, out.p_value))
 
 
+def verdict_or_error(decide, *args):
+    """Whether a test rejects, or the type and message it raised, as text."""
+    try:
+        rejects = decide(*args)
+    except (DegenerateSampleError, InsufficientDataError) as exc:
+        return repr((type(exc).__name__, str(exc)))
+    return repr(bool(rejects))
+
+
 class TestPerSampleTerms:
     """The Monte Carlo kernel takes one field's terms once and combines them
     with every aggregation's; that gives what the public tests give."""
@@ -379,6 +389,16 @@ class TestPerSampleTerms:
                 assert outcome_or_error(
                     lambda b: _levene(*levene_field, *_levene_terms(_sample(b))), b
                 ) == outcome_or_error(levene_test, field, b)
+                # the acceptance filter's verdict, at its level and at the pair's
+                # own p-value, where < and <= part
+                try:
+                    p = levene_test(field, b).p_value
+                except (DegenerateSampleError, InsufficientDataError):
+                    p = 0.05
+                for alpha in (0.05, p):
+                    assert verdict_or_error(
+                        _levene_rejects, levene_field, np.asarray(b, dtype=np.float64), alpha
+                    ) == verdict_or_error(lambda b: levene_test(field, b).rejects(alpha), b)
 
     @settings(max_examples=100, deadline=None)
     @given(samples("normal"), st.lists(sample_pairs(), min_size=1, max_size=4))
