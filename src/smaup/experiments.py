@@ -49,6 +49,7 @@ of worker count or scheduling order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -130,10 +131,23 @@ def _refuse_repeats(name: str, values, scope: str = "") -> None:
 
 
 def lattice_for_area_count(n: int) -> SpatialWeights:
-    """Square rook lattice with n areas; n must be a perfect square."""
+    """Square rook lattice with n areas; n must be a perfect square.
+
+    Every call for one n returns the same object for the life of the
+    process, so what the harnesses compute on a lattice and cache on it
+    (its spectrum, neighbour masks, connectivity verdict and sparse matrix)
+    is computed once. Treat it as read-only; ``build_lattice_rook`` gives a
+    fresh lattice of one's own.
+    """
     side = math.isqrt(n)
     if side * side != n:
         raise InvalidDimensionError(f"area count {n} is not a perfect square lattice size")
+    return _square_lattice(side)
+
+
+@functools.cache
+def _square_lattice(side: int) -> SpatialWeights:
+    """The process's one ``side`` x ``side`` rook lattice (``lattice_for_area_count``)."""
     return build_lattice_rook(side, side)
 
 

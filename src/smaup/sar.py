@@ -23,6 +23,13 @@ rule picks a dense or a sparse-LU SAR solve. A symmetric non-standardized W
 on the sparse side gets its stability interval from two Lanczos runs for its
 extreme eigenvalues, and any other W from its spectrum.
 
+A simulation draws field after field at the same few rho levels on the same
+lattices, so the SAR solve factors (I - rho W) once per (W, rho) for the
+life of the process: a dense LU below ``_SPARSE_MIN_N``, a SuperLU from it
+on, kept in a small module-level cache keyed on W's contents (see
+``generate_sar``). Every later field at that (W, rho) costs two triangular
+solves, bit for bit the result of solving it afresh.
+
 scipy is imported inside the functions that call it, not at module level,
 so ``import smaup`` and the commands that never solve or factorise
 (``smaup weights``) do not pay for loading it.
@@ -30,7 +37,12 @@ so ``import smaup`` and the commands that never solve or factorise
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
+import threading
+import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +78,13 @@ __all__ = [
 # Carlo run reuses one spectrum for hundreds of estimates. A spectrum already
 # cached on the weights is used at any size (see ``w_eigenvalues``).
 _SPARSE_MIN_N = 1000
+
+# Solvers of (I - rho W) kept per process by ``_solve``, least recently used
+# first out: one per tabulated rho level, so a run over the grid on one
+# lattice keeps all of them. A dense one holds 8 n^2 bytes, 6.5 MB at n = 900.
+_SOLVERS_KEPT = 9
+_solvers: OrderedDict = OrderedDict()
+_solvers_lock = threading.Lock()
 
 _RHO_SEARCH_LO = -0.999
 _RHO_SEARCH_HI = 0.999
@@ -135,13 +154,24 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
     Identical (w, spec) inputs give bitwise-identical output. With rho = 0
     the raw innovation draw is returned unchanged.
 
+    At rho != 0 the process keeps one solver of (I - rho W) per (W, rho):
+    a dense LU below ``_SPARSE_MIN_N`` areas, a SuperLU from there on. The
+    first field at a (W, rho) factors it; every later one, on ``w`` or on
+    any weights with the same matrix, only solves with the kept factor, and
+    gets the bits a fresh solve gives (``_solve``). At most nine solvers are
+    kept, one per tabulated rho level, least recently used out first (up to
+    9 x 6.5 MB dense factors at n = 900). They live in this module, not on
+    ``w``: weights travel to worker processes by pickle, and a factor is up
+    to 8 n^2 bytes.
+
     Raises
     ------
     NumericalError
         If W is not row-standardized and rho lies outside its stability
         interval (1 / lambda_min, 1 / lambda_max), or if (I - rho W) is
-        singular. Row-standardized W has lambda_max = 1 and
-        lambda_min <= -1, so ``SarSpec``'s |rho| < 1 already keeps it stable.
+        singular (then nothing is kept). Row-standardized W has
+        lambda_max = 1 and lambda_min <= -1, so ``SarSpec``'s |rho| < 1
+        already keeps it stable.
     """
     if not w.standardized and spec.rho != 0.0:
         lo, hi = _eigenvalue_range(w)
@@ -155,19 +185,63 @@ def generate_sar(w: SpatialWeights, spec: SarSpec) -> AreaVariable:
     eps = rng.standard_normal(w.n)
     if spec.rho == 0.0:
         return AreaVariable(values=eps, weights=w)
-    try:
-        if w.n < _SPARSE_MIN_N:
-            import scipy.linalg
-
-            a = np.eye(w.n) - spec.rho * w.sparse.toarray()
-            y = scipy.linalg.solve(a, eps)
-        else:
-            y = _sparse_lu(w.sparse.tocsc(), spec.rho).solve(eps)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise NumericalError(f"(I - rho W) is singular at rho={spec.rho}") from exc
+    y = _solve(w, spec.rho, eps)
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"(I - rho W) solve produced non-finite values at rho={spec.rho}")
     return AreaVariable(values=y, weights=w)
+
+
+def _solve(w: SpatialWeights, rho: float, b: np.ndarray) -> np.ndarray:
+    """(I - rho W)^-1 b by the process's kept solver for (I - rho W), made on
+    first use (see ``generate_sar``).
+
+    A solver is keyed on W's CSR arrays (equal weights give equal arrays),
+    rho, and the solver kind ``_SPARSE_MIN_N`` picks, so a changed size rule
+    never hands back the other kind's solver. From ``_SPARSE_MIN_N`` areas
+    on it is a SuperLU's ``solve``. Below, it is ``lu_solve`` on an
+    ``lu_factor``, the same LAPACK calls, so the same bits, as
+    ``scipy.linalg.solve`` on a general matrix. That function picks a
+    structured solver for a triangular, tridiagonal or symmetric matrix, so
+    a matrix that may be one of these (bandwidth below 2 on a side, such
+    as a path of areas, or a symmetric W) keeps ``scipy.linalg.solve``
+    itself as its solver. A solver is kept only after its first solve
+    succeeds; an exactly singular matrix raises NumericalError. ``lu_factor``
+    only warns of a zero pivot, so that warning is raised as an error here.
+    """
+    import scipy.linalg
+
+    sparse = w.n >= _SPARSE_MIN_N
+    w_csr = w.sparse
+    digest = hashlib.sha1(w_csr.indptr, usedforsecurity=False)
+    digest.update(w_csr.indices)
+    digest.update(w_csr.data)
+    key = (digest.digest(), rho, sparse)
+    with _solvers_lock:
+        solver = _solvers.get(key)
+        if solver is not None:
+            _solvers.move_to_end(key)
+    if solver is not None:
+        return solver(b)
+    try:
+        if sparse:
+            solver = _sparse_lu(w_csr.tocsc(), rho).solve
+        else:
+            a = np.eye(w.n) - rho * w_csr.toarray()
+            if min(scipy.linalg.bandwidth(a)) < 2 or scipy.linalg.issymmetric(a):
+                solver = functools.partial(scipy.linalg.solve, a)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                    factor = scipy.linalg.lu_factor(a, check_finite=False)
+                solver = functools.partial(scipy.linalg.lu_solve, factor, check_finite=False)
+        y = solver(b)
+    except (scipy.linalg.LinAlgWarning, np.linalg.LinAlgError, RuntimeError) as exc:
+        raise NumericalError(f"(I - rho W) is singular at rho={rho}") from exc
+    with _solvers_lock:
+        _solvers[key] = solver
+        if len(_solvers) > _SOLVERS_KEPT:
+            _solvers.popitem(last=False)
+    return y
 
 
 def _has_spectrum(w: SpatialWeights) -> bool:

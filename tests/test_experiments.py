@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from smaup import (
     EffectsSummary,
     ExperimentStallError,
     InvalidAlphaError,
+    InvalidDimensionError,
     InvalidKError,
     NullDistribution,
     PowerSizeReport,
@@ -30,7 +32,7 @@ from smaup import (
     power_experiment,
     size_experiment,
 )
-from smaup import experiments
+from smaup import experiments, sar
 from smaup.experiments import (
     _accepted_instance,
     _effects_rows,
@@ -97,9 +99,9 @@ class TestNullDistribution:
             NullDistribution(n=100, rho=0.0, values=[0.1, 0.2], replicates=3)
 
     def test_non_square_area_count_rejected(self):
-        from smaup import InvalidDimensionError
-        with pytest.raises(InvalidDimensionError, match="square"):
-            lattice_for_area_count(150)
+        for _ in range(2):  # on every call, not only on the first
+            with pytest.raises(InvalidDimensionError, match="square"):
+                lattice_for_area_count(150)
 
 
 class TestAcceptanceRecipe:
@@ -548,18 +550,63 @@ def payload_sha256(result) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name, run, sha256", [
-    ("null", lambda: generate_null(100, 0.0, replicates=20, master_seed=1),
-     "dd33855d0bc684a961b800bd23236e7895e99c50c1de9fdac19386db30d0257e"),
-    ("power", lambda: power_experiment([100], [0.0], instances=15, master_seed=1),
-     "99737556bf77b699e9d5f7f0847f47a3348a050221ab12eedd78e22f33da6dca"),
-    ("size", lambda: size_experiment([100], [0.0], instances=20, master_seed=1),
-     "3a7da43a0cf6c9346568dd3ddb4e966bd03496a03703f95f281035b596fc7964"),
-    ("effects", lambda: effects_experiment(EffectsConfig(
+PINNED = {
+    "null": (lambda: generate_null(100, 0.0, replicates=20, master_seed=1),
+             "dd33855d0bc684a961b800bd23236e7895e99c50c1de9fdac19386db30d0257e"),
+    "power": (lambda: power_experiment([100], [0.0], instances=15, master_seed=1),
+              "99737556bf77b699e9d5f7f0847f47a3348a050221ab12eedd78e22f33da6dca"),
+    "size": (lambda: size_experiment([100], [0.0], instances=20, master_seed=1),
+             "3a7da43a0cf6c9346568dd3ddb4e966bd03496a03703f95f281035b596fc7964"),
+    "effects": (lambda: effects_experiment(EffectsConfig(
         k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
         master_seed=1)),
-     "3651e098ba799c2f657c19d1c3e39b8433d397f4481ccf790d961e9dddb48163"),
-], ids=["null", "power", "size", "effects"])
+        "3651e098ba799c2f657c19d1c3e39b8433d397f4481ccf790d961e9dddb48163"),
+    # the null at rho != 0 solves its fields (a rho = 0 field is its raw innovations)
+    "null-solved-100": (lambda: generate_null(100, 0.5, replicates=20, master_seed=1),
+                        "c0599fbfe3daf0d9ccddf651f549f6ebd422cb19595f5631f77ffa8ecd268546"),
+    "null-solved-400": (lambda: generate_null(400, 0.5, replicates=5, master_seed=1),
+                        "c1b0444cbf091a4bf739d09b43cdccdf2a13bf27de01228aa717089688c492a1"),
+}
+
+
+@pytest.mark.parametrize("name, run, sha256", [(name, *PINNED[name]) for name in PINNED],
+                         ids=list(PINNED))
 def test_payload_bytes_pinned(name, run, sha256):
     # any change of a random stream or of a reported figure moves these digests
     assert payload_sha256(run()) == sha256, name
+
+
+class TestProcessCaches:
+    """One lattice per N and one (I - rho W) solver per (W, rho) per process."""
+
+    def test_one_lattice_per_area_count(self):
+        assert lattice_for_area_count(100) is lattice_for_area_count(100)
+        assert lattice_for_area_count(400).n == 400
+
+    def test_warm_caches_give_the_cold_bytes(self, monkeypatch):
+        monkeypatch.setattr(sar, "_solvers", type(sar._solvers)())
+        experiments._square_lattice.cache_clear()
+        for name in ("null-solved-100", "effects"):
+            run, sha256 = PINNED[name]
+            assert payload_sha256(run()) == sha256, f"{name}, cold"
+            assert payload_sha256(run()) == sha256, f"{name}, warm"
+        assert len(sar._solvers) == 3  # rho 0.5, 0.9 and -0.9 on the one N = 100 lattice
+        assert experiments._square_lattice.cache_info().currsize == 1
+        # worker processes start from a copy of this one, caches included
+        two_workers = (
+            ("null-solved-100", generate_null(100, 0.5, replicates=20, master_seed=1, workers=2)),
+            ("effects", effects_experiment(EffectsConfig(
+                k_lists={100: (12, 53, 90)}, rho_values=(-0.9, 0.0, 0.9), instances=3, r=20,
+                master_seed=1), workers=2)),
+        )
+        for name, result in two_workers:
+            assert payload_sha256(result) == PINNED[name][1], f"{name}, 2 workers"
+
+    def test_a_pickled_lattice_carries_no_solver(self):
+        w = lattice_for_area_count(100)
+        generate_null(100, 0.5, replicates=2, r=3, master_seed=1)
+        blob = pickle.dumps(w)
+        assert len(blob) < 8 * w.n * w.n  # one dense factor alone takes 8 n^2 bytes
+        restored = pickle.loads(blob)
+        assert restored == w
+        assert not any(isinstance(v, np.ndarray) and v.ndim > 1 for v in restored.__dict__.values())

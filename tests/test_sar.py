@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -667,6 +668,136 @@ class TestSparsePath:
             assert abs(rho_hat - rho) < 0.05
             assert "dense" not in cached
             assert "_sar_eigenvalues" not in cached
+
+
+def relabelled_irregular(side, seed):
+    """A standardized W on an irregular graph: a rook lattice with a seeded
+    third of its down-right diagonals added, areas in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    base = build_lattice_rook(side, side)
+    sets = [set(row) for row in base.neighbors]
+    for r in range(side - 1):
+        for c in range(side - 1):
+            if rng.random() < 1 / 3:
+                i, j = r * side + c, (r + 1) * side + c + 1
+                sets[i].add(j)
+                sets[j].add(i)
+    perm = rng.permutation(base.n)
+    new_index = np.argsort(perm)
+    neighbors = [[int(new_index[j]) for j in sets[old]] for old in perm]
+    weights = [[1.0 / len(row)] * len(row) for row in neighbors]
+    return SpatialWeights.from_dict(
+        {"n": base.n, "neighbors": neighbors, "weights": weights, "standardized": True}
+    )
+
+
+def singular_at_half():
+    """A standardized W (negative weights allowed) whose (I - 0.5 W) has two
+    equal rows, so every LU of it meets an exactly zero pivot."""
+    return SpatialWeights(n=3, neighbors=((1, 2), (0, 2), (0, 1)),
+                          weights=((-2.0, 3.0), (-2.0, 3.0), (0.5, 0.5)))
+
+
+# weights, rho levels, and whether scipy.linalg.solve sees a general matrix
+# (LU) or a structured one: symmetric (binary W), tridiagonal (a path of areas)
+SOLVER_WEIGHTS = {
+    "rook-10": (lambda: build_lattice_rook(10, 10), (0.9, -0.9, 0.5), True),
+    "rook-20x30": (lambda: build_lattice_rook(20, 30), (0.5, -0.5), True),
+    "irregular": (lambda: relabelled_irregular(12, 3), (0.9, -0.5), True),
+    "binary": (lambda: build_lattice_rook(15, 15, standardized=False), (0.2, -0.2), False),
+    "path": (lambda: build_lattice_rook(1, 60), (0.9, -0.9), False),
+}
+
+
+@pytest.fixture
+def no_solvers(monkeypatch):
+    """An empty solver cache for the test; the process's own is restored after."""
+    monkeypatch.setattr(sar, "_solvers", type(sar._solvers)())
+    return sar._solvers
+
+
+class TestSolverCache:
+    """``generate_sar`` keeps one solver of (I - rho W) per (W, rho, solver kind)."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("name", list(SOLVER_WEIGHTS))
+    def test_kept_solver_solves_bit_for_bit(self, monkeypatch, no_solvers, name, kind):
+        if kind == "sparse":
+            sparse_path(monkeypatch)
+        make, rhos, general = SOLVER_WEIGHTS[name]
+        w = make()
+        for rho in rhos:
+            a = np.eye(w.n) - rho * w.sparse.toarray()
+            for seed in range(3):  # the first draw factors, the others reuse the factor
+                eps = np.random.default_rng(seed).standard_normal(w.n)
+                fresh = (scipy.linalg.solve(a, eps) if kind == "dense"
+                         else sar._sparse_lu(w.sparse.tocsc(), rho).solve(eps))
+                y = generate_sar(w, SarSpec(rho=rho, seed=seed))
+                assert np.array_equal(y.values, fresh), (rho, seed)
+        assert len(no_solvers) == len(rhos)
+        if kind == "dense":
+            kept = {solver.func for solver in no_solvers.values()}
+            assert kept == {scipy.linalg.lu_solve if general else scipy.linalg.solve}
+
+    def test_size_rule_never_crosses_kinds(self, monkeypatch, no_solvers, w10):
+        spec = SarSpec(rho=0.5, seed=7)
+        eps = np.random.default_rng(7).standard_normal(w10.n)
+        dense = scipy.linalg.solve(np.eye(w10.n) - 0.5 * w10.sparse.toarray(), eps)
+        superlu = sar._sparse_lu(w10.sparse.tocsc(), 0.5).solve(eps)
+        assert not np.array_equal(dense, superlu)  # the two kinds differ in the last bits
+        assert np.array_equal(generate_sar(w10, spec).values, dense)
+        sparse_path(monkeypatch)
+        assert np.array_equal(generate_sar(w10, spec).values, superlu)
+        spectrum_path(monkeypatch)
+        assert np.array_equal(generate_sar(w10, spec).values, dense)
+        assert sorted(sparse for _, _, sparse in no_solvers) == [False, True]
+        assert len({type(solver) for solver in no_solvers.values()}) == 2
+
+    def test_keyed_on_the_matrix_not_the_object(self, no_solvers):
+        a, b = build_lattice_rook(10, 10), build_lattice_rook(10, 10)
+        assert a == b and a is not b
+        ya = generate_sar(a, SarSpec(rho=0.9, seed=1))
+        yb = generate_sar(b, SarSpec(rho=0.9, seed=1))
+        assert np.array_equal(ya.values, yb.values)
+        assert len(no_solvers) == 1
+        for other in (build_lattice_rook(4, 25), build_lattice_rook(10, 10, standardized=False)):
+            assert other.n == a.n and other != a
+            generate_sar(other, SarSpec(rho=0.2, seed=1))
+        assert len(no_solvers) == 3
+
+    def test_keeps_the_nine_most_recent(self, no_solvers, w10):
+        rhos = [round(-0.9 + 0.14 * i, 2) for i in range(13)]  # 0 never solves
+        for rho in rhos:
+            generate_sar(w10, SarSpec(rho=rho, seed=0))
+        assert sar._SOLVERS_KEPT == 9
+        assert [rho for _, rho, _ in no_solvers] == rhos[-9:]
+        generate_sar(w10, SarSpec(rho=rhos[4], seed=0))  # a hit moves to the back
+        generate_sar(w10, SarSpec(rho=rhos[0], seed=0))  # a miss evicts the oldest
+        assert [rho for _, rho, _ in no_solvers] == rhos[6:] + [rhos[4], rhos[0]]
+
+    @pytest.mark.parametrize("action", ["error", "always"])  # warnings raised, or recorded
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_singular_raises_warns_nothing_keeps_nothing(self, monkeypatch, no_solvers, kind,
+                                                         action):
+        if kind == "sparse":
+            monkeypatch.setattr(sar, "_SPARSE_MIN_N", 2)
+        w = singular_at_half()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(NumericalError, match=r"singular at rho=0\.5"):
+                generate_sar(w, SarSpec(rho=0.5, seed=0))
+            assert len(no_solvers) == 0
+            y = generate_sar(w, SarSpec(rho=0.4, seed=0))
+        assert caught == []
+        eps = np.random.default_rng(0).standard_normal(3)
+        assert np.allclose(y.values - 0.4 * (w.sparse @ y.values), eps, atol=1e-12)
+        assert len(no_solvers) == 1
+
+    def test_solver_stays_off_the_weights(self, no_solvers, w10):
+        before = pickle.dumps(w10)
+        generate_sar(w10, SarSpec(rho=0.9, seed=0))
+        assert len(no_solvers) == 1
+        assert pickle.dumps(w10) == before
 
 
 class TestRankPermute:

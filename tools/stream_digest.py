@@ -1,7 +1,9 @@
-"""Print the sha256 of the four acceptance-scale harness outputs and of their payloads.
+"""Print the sha256 of five harness outputs and of their payloads.
 
 Runs ``smaup null``, ``power``, ``size`` and ``effects`` at their acceptance
-scale with ``--seed 1``, once with ``--workers 1`` and once with ``--workers
+scale, and ``smaup null`` once more at N = 400 and rho = 0.5, the one run
+that solves its SAR fields (a rho = 0 field is its raw innovations), each
+with ``--seed 1``, once with ``--workers 1`` and once with ``--workers
 2``, each as a fresh process on the source tree given by ``--src`` (default:
 this repository's ``src``). Two trees whose random streams agree print the
 same digests; the two worker counts of one tree must agree as well.
@@ -32,6 +34,7 @@ RUNS = {
     "power": ["power", "--n", "100", "--rhos=0", "--instances", "100"],
     "size": ["size", "--n", "100", "--rhos=0", "--instances", "100"],
     "effects": ["effects", "--cell", "100:12,53,90", "--instances", "10"],
+    "null-400": ["null", "--n", "400", "--rho", "0.5", "--replicates", "20"],
 }
 WORKERS = (1, 2)
 
