@@ -94,9 +94,18 @@ def m_statistic(rho, theta):
     """The sensitivity statistic M(rho, theta) = L / (1 + eta * e^(tau*rho)).
 
     Always strictly inside (0, L(theta)) because the denominator exceeds 1.
-    Accepts scalars or broadcastable arrays.
+    Accepts scalars or broadcastable arrays. The model holds for |rho| < 1,
+    where a non-finite or larger rho anywhere raises NumericalError, and for
+    theta = k/N in (0, 1], where any other theta raises InvalidKError.
     """
     rho = np.asarray(rho, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    outside = ~(np.abs(rho) < 1)
+    if outside.any():
+        _check_rho(float(rho[outside].flat[0]))
+    outside = ~((theta > 0) & (theta <= 1))
+    if outside.any():
+        raise InvalidKError(f"theta = k/N must lie in (0, 1], got theta={float(theta[outside].flat[0])}")
     den = 1.0 + eta_of_theta(theta) * np.exp(tau_of_theta(theta) * rho)
     out = l_of_theta(theta) / den
     return float(out) if out.ndim == 0 else out

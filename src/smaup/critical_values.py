@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidAlphaError
+from .errors import InvalidAlphaError, InvalidDimensionError
 from .sar import _check_rho
 
 __all__ = [
@@ -109,15 +109,23 @@ def _rho_row(rho: float) -> int:
     return min(range(len(RHO_GRID)), key=lambda i: (abs(RHO_GRID[i] - rho), abs(RHO_GRID[i])))
 
 
+def _n_column(n: int) -> int:
+    """Grid column nearest the area count n, an integer >= 1; otherwise
+    InvalidDimensionError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidDimensionError(f"area count must be an integer >= 1, got {n!r}")
+    return min(range(len(N_GRID)), key=lambda j: abs(N_GRID[j] - n))
+
+
 def critical_value(n: int, rho: float, alpha: float) -> float:
     """Critical value for a test on N areas at autocorrelation rho and level alpha.
 
     alpha must be one of ALPHA_GRID. rho, which must lie in (-1, 1), snaps to
-    the closest grid row (ties toward 0) and N to the closest grid column,
-    which clamps it to [25, 900].
+    the closest grid row (ties toward 0) and N, an integer >= 1, to the
+    closest grid column, which clamps it to [25, 900].
     """
     column = ALPHA_GRID.index(_check_alpha(alpha))
-    n_column = min(range(len(N_GRID)), key=lambda j: abs(N_GRID[j] - n))
+    n_column = _n_column(n)
     return float(_VALUES[_rho_row(rho), column, n_column])
 
 

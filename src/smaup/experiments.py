@@ -1,15 +1,18 @@
 """Monte Carlo harnesses: aggregation-effect sweeps, simulated null
 distributions, and power/size estimation for the sensitivity test.
 
-Every harness repeats one step, implemented once in :func:`_partitions`:
-grow r random partitions of the areas into k contiguous regions. A seed
-path names one PCG64 stream, the bit generator ``derive_rng(*seed_path)``
-wraps, and repeat ``rep`` reads it from where ``bitgen.jumped(rep)``
-starts, grown only when that repeat is reached (the draw contract of
-``regionalize``). It shares ``random_regions``'s growth loop but skips its
-validation. Its callers take region means by ``bincount``: the acceptance
-filter one aggregation at a time, since it stops at the first that decides
-it, and the effects harness all aggregations of an (instance, k) at once.
+Every harness repeats one step: grow r random partitions of the areas into
+k contiguous regions. A seed path names one PCG64 stream, the bit generator
+``derive_rng(*seed_path)`` wraps, and repeat ``rep`` reads it from where
+``bitgen.jumped(rep)`` starts (the draw contract of ``regionalize``). The
+step has two forms, which give the same partitions and share
+``random_regions``'s growth loop but skip its validation. The acceptance
+filter takes :func:`_partitions`, which grows a repeat only when it is
+reached, one aggregation at a time, since the filter stops at the first
+that decides it. The effects harness takes :func:`_partition_block`, which
+grows all r repeats of an (instance, k) as one block and sizes their
+regions in one offset ``bincount``, since it aggregates on all of them.
+Both callers take region means by ``bincount``.
 
 The null, power and size harnesses share one instance recipe, set by one
 flag. A SAR field is drawn on a square rook lattice, a region count k is
@@ -25,11 +28,12 @@ which prevents livelock on pathological fields. One run,
 the null keeps the Ms, size and power price each M at its own estimated rho.
 
 The effects harness draws every rho field of an instance first. Then, for
-each k, it grows the instance's r partitions once and works on the F x r
-(field, repeat) rows as arrays: one offset ``bincount`` takes every row's
-region means, one call of each test's kernel scores all rows, and RCM and
-RCV take the Welch terms' means and squared deviations through the formulas
-of ``stats``, so each row is bit for bit what scoring that pair alone gives.
+each k, it grows the instance's r partitions once, as one block, and works
+on the F x r (field, repeat) rows as arrays: one offset ``bincount`` takes
+every row's region means, one call of each test's kernel scores all rows,
+and RCM and RCV take the Welch terms' means and squared deviations through
+the formulas of ``stats``, so each row is bit for bit what scoring that
+pair alone gives.
 
 Every random draw derives from the master seed and a seed path that names
 what the draw is, never where its cell sits in the run: (master seed,
@@ -66,7 +70,7 @@ from .errors import (
     InvalidKError,
     RepeatedValueError,
 )
-from .regionalize import _check_growable, _grow
+from .regionalize import _check_growable, _grow, _grow_block
 from .sar import (
     SarSpec,
     estimate_rho,
@@ -135,9 +139,9 @@ def lattice_for_area_count(n: int) -> SpatialWeights:
 
     Every call for one n returns the same object for the life of the
     process, so what the harnesses compute on a lattice and cache on it
-    (its spectrum, neighbour masks, connectivity verdict and sparse matrix)
-    is computed once. Treat it as read-only; ``build_lattice_rook`` gives a
-    fresh lattice of one's own.
+    (its spectrum, neighbour masks and table, connectivity verdict and
+    sparse matrix) is computed once. Treat it as read-only;
+    ``build_lattice_rook`` gives a fresh lattice of one's own.
     """
     side = math.isqrt(n)
     if side * side != n:
@@ -246,6 +250,21 @@ def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
         if sizes.size != k or np.minimum.reduce(sizes) < 1:
             raise CorruptPartitionError(f"grown partition does not use all {k} region labels")
         yield labels, sizes
+
+
+def _partition_block(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
+    """The labels and region sizes of the r partitions :func:`_partitions`
+    yields, as (r, n) and (r, k) arrays, grown as one block (``regionalize``):
+    for a consumer that takes all r."""
+    _check_growable(w, k)
+    labels = _grow_block(w, k, derive_rng(*seed_path).bit_generator, r)
+    if labels.min() >= 0:
+        # row i owns bins i k to i k + k - 1 of one bincount
+        sizes = np.bincount((labels + k * np.arange(r)[:, None]).ravel(), minlength=r * k)
+        if sizes.min() >= 1:
+            return labels, sizes.reshape(r, k)
+    raise CorruptPartitionError(
+        f"a grown partition leaves an area unassigned or one of its {k} regions empty")
 
 
 def _accepted_instance(
@@ -591,9 +610,10 @@ def _effects_instance_task(args) -> dict:
     """One instance of the effects recipe on one lattice, across its rho and k
     cells: ``{(rho, k): (rcm_bar, rcv_bar, t_rejections, levene_rejections)}``.
 
-    Every rho field of the instance is drawn first. Then, for each k, the r
-    partitions are grown once and :func:`_effects_rows` scores every field
-    on every partition in one array pass: one ``bincount`` for all region
+    Every rho field of the instance is drawn first. Then, for each k,
+    :func:`_partition_block` grows the r partitions once, as one block, with
+    their region sizes, and :func:`_effects_rows` scores every field on
+    every partition in one array pass: one ``bincount`` for all region
     means and one call of each test's kernel. Its seed paths, (master seed,
     instance, role[, k]), are the same on every lattice and at every
     rho level.
@@ -617,8 +637,7 @@ def _effects_instance_task(args) -> dict:
     values = np.stack(fields)
     out: dict[tuple[float, int], tuple] = {}
     for k in ks:
-        seed_path = (master_seed, instance, _ROLE_REGIONS, k)
-        labels, sizes = map(np.stack, zip(*_partitions(w, k, seed_path, config.r)))
+        labels, sizes = _partition_block(w, k, (master_seed, instance, _ROLE_REGIONS, k), config.r)
         rcm, rcv, welch, levene = _effects_rows(values, labels, sizes)
         t_rej, lev_rej = (test.rejects(_FILTER_ALPHA).sum(axis=1) for test in (welch, levene))
         for rho, rcm_bar, rcv_bar, t, lev in zip(config.rho_values, _mean(rcm), _mean(rcv), t_rej, lev_rej):

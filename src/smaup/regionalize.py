@@ -3,9 +3,15 @@
 Regions are produced by seed-based growing: k seed areas are drawn uniformly
 without replacement, then regions repeatedly claim a random unassigned
 neighbor until every area is assigned. Each region is contiguous by
-construction. Aggregation uses the unweighted mean of member areas. One
-growth loop serves :func:`random_regions` and, without its validation, the
-Monte Carlo kernel ``experiments._partitions``; both keep its draw contract.
+construction. Aggregation uses the unweighted mean of member areas.
+
+One growth loop, :func:`_claim`, serves two set-ups of one draw contract.
+:func:`_grow` sets up one repeat, for a consumer that may stop after any
+repeat: :func:`random_regions` and, without its validation, the Monte Carlo
+kernel ``experiments._partitions``, whose acceptance filter stops at the
+first repeat that decides it. :func:`_grow_block` sets up r repeats as one
+block of arrays, for a consumer that takes all r: the effects harness. Both
+give the same labels from the same outputs.
 
 Growth holds sets of areas as Python ints, bit j for area j: the unassigned
 areas, and per region its reach, the union of its areas' neighbor sets
@@ -30,7 +36,10 @@ modulo 2**(j + 2); the golden-ratio jump is not. Within a substream:
   a range of 1 draws nothing;
 - growth then advances the bit generator to the start of the next
   substream, so a partition depends on (stream, rep) alone. Outputs are
-  read in blocks whose size moves no stream.
+  read in blocks whose size moves no stream: each repeat reads its seed
+  keys and its first pick words in one read and advances to the next
+  substream, and a repeat that uses up those words reads on in its own
+  substream, wherever the bit generator then stands.
 """
 
 from __future__ import annotations
@@ -60,6 +69,10 @@ __all__ = [
 # Outputs of one bit generator reserved for each partition grown from it:
 # the step of numpy's ``PCG64.jumped``, (golden ratio - 1) * 2**128.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# A repeat reads n seed keys and n - k + _SPARE_PICKS outputs of pick words,
+# which few partitions use up, then that many again per further read. The
+# reads' sizes move no stream.
+_SPARE_PICKS = 8
 
 
 @dataclass(frozen=True)
@@ -136,37 +149,36 @@ class AggregatedVariable:
         return self.region_means.shape[0]
 
 
-def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64) -> list[int]:
-    """Region labels of :func:`random_regions`, for k and a graph already checked,
-    grown from ``bitgen``'s next substream (module docstring).
+def _halves(outputs: np.ndarray) -> list[int]:
+    """The 32-bit halves of raw outputs, low half first."""
+    return outputs.astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _more_words(bitgen, behind: int, size: int):
+    """The words of the outputs from ``behind`` outputs before ``bitgen``'s
+    position on, read ``size`` outputs at a time. Each read leaves ``bitgen``
+    where it found it; positions count modulo PCG64's period, 2**128."""
+    while True:
+        bitgen.advance(-behind % 2**128)
+        outputs = bitgen.random_raw(size)
+        behind -= size
+        bitgen.advance(behind % 2**128)
+        yield from _halves(outputs)
+
+
+def _claim(masks, assignment, reach: list[int], active: list[int], unassigned: int,
+           word) -> None:
+    """Grow regions in place until every area is assigned or none can grow.
+    ``assignment`` is a list, or a row of labels seen through a memoryview.
 
     A region's frontier is ``reach & unassigned`` (module docstring); its
     i-th area is found by clearing the i lowest, or the m - 1 - i highest, of
-    its m set bits. A claim moves one bit out of ``unassigned`` and ORs the
-    area's neighbor mask into the region's reach. Each pick from m > 1
-    choices is numpy's bounded draw (Lemire 2019): take ``x = word * m``,
+    its m set bits. A claim moves one bit out of ``unassigned``, writes the
+    region into ``assignment`` and ORs the area's neighbor mask into the
+    region's reach. Each pick from m > 1 choices is numpy's bounded draw
+    (Lemire 2019) on the words ``word()`` returns: take ``x = word() * m``,
     redraw while its low 32 bits are below ``(2**32 - m) % m``, and use its
     top 32 bits."""
-    n, masks = w.n, w._neighbor_masks
-    block = n - k + 8  # outputs per read of pick words; moves no stream
-    fills = 0
-
-    def fill():
-        nonlocal fills
-        fills += 1
-        return bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
-
-    raw = bitgen.random_raw(n + block)
-    seeds = raw[:n].argsort(kind="stable")[:k]
-    first = raw[n:].astype("<u8", copy=False).view("<u4").tolist()
-    word = chain(first, chain.from_iterable(iter(fill, None))).__next__
-    labels = np.empty(n, np.int64)
-    labels.fill(-1)
-    labels[seeds] = np.arange(k)
-    unassigned = int.from_bytes(np.packbits(labels < 0, bitorder="little").tobytes(), "little")
-    assignment = labels.tolist()
-    reach = [masks[area] for area in seeds.tolist()]
-    active = list(compress(range(k), map(unassigned.__and__, reach)))
     while unassigned and active:
         m = len(active)
         pos = 0
@@ -203,8 +215,73 @@ def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64) -> list[int]:
         # the other m - 1 frontier areas are still unassigned
         if m == 1 and not masks[area] & unassigned:
             active.pop(pos)
-    bitgen.advance(_JUMP - n - block * (fills + 1))
+
+
+def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64) -> list[int]:
+    """Region labels of :func:`random_regions`, for k and a graph already checked,
+    grown from ``bitgen``'s next substream (module docstring): the set-up of
+    one repeat, for a consumer that may stop after any repeat."""
+    n, masks = w.n, w._neighbor_masks
+    picks = n - k + _SPARE_PICKS
+    lead = n + picks
+    raw = bitgen.random_raw(lead)
+    bitgen.advance(_JUMP - lead)
+    seeds = raw[:n].argsort(kind="stable")[:k]
+    labels = np.empty(n, np.int64)
+    labels.fill(-1)
+    labels[seeds] = np.arange(k)
+    unassigned = int.from_bytes(np.packbits(labels < 0, bitorder="little").tobytes(), "little")
+    assignment = labels.tolist()
+    reach = [masks[area] for area in seeds.tolist()]
+    active = list(compress(range(k), map(unassigned.__and__, reach)))
+    word = chain(_halves(raw[n:]), _more_words(bitgen, _JUMP - lead, picks)).__next__
+    _claim(masks, assignment, reach, active, unassigned, word)
     return assignment
+
+
+def _grow_block(w: SpatialWeights, k: int, bitgen: np.random.PCG64, r: int) -> np.ndarray:
+    """The labels of r successive :func:`_grow` calls on ``bitgen`` as the rows
+    of an (r, n) array: the set-up of a block, for a consumer that takes all
+    r repeats. It reads what those calls read and leaves ``bitgen`` where
+    they leave it.
+
+    Every repeat's outputs are read first; then one stable row argsort draws
+    all seeds, one label fill and one ``packbits`` give every row's
+    unassigned set, the padded neighbor table gives every row's initial
+    active list, a region being active iff its seed touches a free area,
+    and one gather gives every row's reaches. Each row then grows in place
+    by the loop :func:`_grow` runs; a row that uses up its pick words reads
+    on in its own substream."""
+    n, masks = w.n, w._neighbor_masks
+    picks = n - k + _SPARE_PICKS
+    lead = n + picks
+    raw = np.empty((r, lead), np.uint64)
+    for row in raw:
+        row[:] = bitgen.random_raw(lead)
+        bitgen.advance(_JUMP - lead)
+    seeds = raw[:, :n].argsort(axis=1, kind="stable")[:, :k]
+    labels = np.empty((r, n), np.int64)
+    labels.fill(-1)
+    np.put_along_axis(labels, seeds, np.arange(k), axis=1)
+    free = np.zeros((r, n + 1), bool)  # column n: the table's padding, never free
+    np.less(labels, 0, out=free[:, :n])
+    touches_free = np.zeros((r, n), bool)
+    for column in w._neighbor_table.T:
+        touches_free |= free[:, column]
+    active = np.take_along_axis(touches_free, seeds, axis=1)
+    ends = np.count_nonzero(active, axis=1).cumsum().tolist()
+    regions = np.nonzero(active)[1].tolist()  # row by row
+    reaches = np.array(masks, object)[seeds].tolist()
+    unassigned = np.packbits(free[:, :n], axis=1, bitorder="little")
+    width, unassigned = unassigned.shape[1], unassigned.tobytes()
+    flat = memoryview(labels.reshape(-1))
+    start = 0
+    for i, (end, reach, words) in enumerate(zip(ends, reaches, _halves(raw[:, n:]))):
+        word = chain(words, _more_words(bitgen, (r - i) * _JUMP - lead, picks)).__next__
+        _claim(masks, flat[i * n:i * n + n], reach, regions[start:end],
+               int.from_bytes(unassigned[i * width:i * width + width], "little"), word)
+        start = end
+    return labels
 
 
 def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:

@@ -139,9 +139,21 @@ class SpatialWeights:
         n**2 / 8 bytes in all, so they stay out of the pickle (``__getstate__``)."""
         return tuple(sum(1 << j for j in row) for row in self.neighbors)
 
+    @cached_property
+    def _neighbor_table(self) -> np.ndarray:
+        """Read-only (n, d) array, d the largest neighbor count: row i lists
+        the neighbors of area i, padded with n. Region growth indexes it for
+        many partitions at once. Like the masks, it stays out of the pickle."""
+        table = np.full((self.n, max(map(len, self.neighbors))), self.n, np.intp)
+        for i, row in enumerate(self.neighbors):
+            table[i, :len(row)] = row
+        table.flags.writeable = False
+        return table
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_neighbor_masks", None)
+        state.pop("_neighbor_table", None)
         return state
 
     @property

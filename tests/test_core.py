@@ -116,6 +116,28 @@ class TestStatistic:
                 derivative = (m_statistic(rho + step, theta) - m_statistic(rho - step, theta)) / (2 * step)
                 assert np.sign(derivative) == -np.sign(tau_of_theta(theta))
 
+    @pytest.mark.parametrize("rho, theta, error", [
+        (1.5, 0.5, NumericalError),  # used to read 0.0195
+        (-1.0, 0.5, NumericalError),
+        (np.nan, 0.5, NumericalError),
+        (np.inf, 0.5, NumericalError),
+        (np.array([0.0, 0.5, 1.0]), 0.5, NumericalError),
+        (0.5, 1.5, InvalidKError),  # used to read 0.000196
+        (0.5, -0.2, InvalidKError),  # used to read nan with a RuntimeWarning
+        (0.5, 0.0, InvalidKError),
+        (0.5, np.nan, InvalidKError),
+        (0.0, np.array([0.5, 1.0, 1.01]), InvalidKError),
+    ])
+    def test_outside_the_model_rejected(self, rho, theta, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=r"\|rho\| must be < 1|theta = k/N must lie in \(0, 1\]"):
+                m_statistic(rho, theta)
+
+    def test_model_edges_accepted(self):
+        assert 0 < m_statistic(np.array([-0.999999, 0.999999]), 1.0).min()
+        assert 0 < m_statistic(0.0, np.array([1e-9, 1.0])).min()
+
     def test_strictly_decreasing_in_theta(self):
         grid = np.linspace(0.01, 0.99, 99)
         for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):

@@ -10,6 +10,7 @@ from smaup import (
     N_GRID,
     RHO_GRID,
     InvalidAlphaError,
+    InvalidDimensionError,
     NumericalError,
     critical_value,
     export_critical_values_csv,
@@ -78,6 +79,15 @@ class TestSnapping:
         # nan and +-inf used to snap to the -0.9 and 0.0 rows
         with pytest.raises(NumericalError, match=r"\|rho\| must be < 1"):
             critical_value(100, rho, 0.05)
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 0, -5, 2.5, 100.0, True])
+    def test_area_count_not_a_positive_integer_rejected(self, n):
+        # nan, +inf, 0, -5 and 2.5 used to read the N = 25 column
+        with pytest.raises(InvalidDimensionError, match="area count must be an integer >= 1"):
+            critical_value(n, 0.0, 0.05)
+
+    def test_numpy_integer_area_count(self):
+        assert critical_value(np.int64(100), 0.0, 0.05) == critical_value(100, 0.0, 0.05)
 
     def test_nearest_n(self):
         assert critical_value(150, 0.0, 0.05) == critical_value(100, 0.0, 0.05)

@@ -36,6 +36,7 @@ from smaup import experiments, sar
 from smaup.experiments import (
     _accepted_instance,
     _effects_rows,
+    _partition_block,
     _partitions,
 )
 from smaup.regionalize import Regionalization, _grow, aggregate_mean
@@ -164,6 +165,37 @@ class TestAcceptanceRecipe:
         split = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2\n")
         with pytest.raises(ContiguityError):
             next(_partitions(split, 2, (1,), 1))
+
+    @pytest.mark.parametrize("k", [1, 3, 23, 99, 100])
+    def test_block_equals_stacked_kernel(self, w100, k):
+        path = (5, 1, experiments._ROLE_REGIONS, k)
+        labels, sizes = _partition_block(w100, k, path, 7)
+        stacked = list(_partitions(w100, k, path, 7))
+        assert labels.shape == (7, 100) and sizes.shape == (7, k)
+        assert np.array_equal(labels, np.stack([row for row, _ in stacked]))
+        assert np.array_equal(sizes, np.stack([row for _, row in stacked]))
+
+    @pytest.mark.parametrize("bad_row", [[0] * 99 + [2], [-1] + [0] * 49 + [1] * 49 + [2]],
+                             ids=["unused-label", "unassigned-area"])
+    def test_block_guards_every_partition(self, w100, monkeypatch, bad_row):
+        # one bad row of the block must not reach Levene or Welch; offset
+        # bincount alone would count the unassigned area in the row before
+        def growing(w, k, bitgen, r):
+            labels = np.tile(np.arange(w.n) % k, (r, 1))
+            labels[r - 1] = bad_row
+            return labels
+
+        monkeypatch.setattr(experiments, "_grow_block", growing)
+        with pytest.raises(CorruptPartitionError, match="one of its 3 regions empty"):
+            _partition_block(w100, 3, (1,), 4)
+
+    def test_block_checks_k_and_connectivity(self, w100):
+        for k in (0, 101):
+            with pytest.raises(InvalidKError):
+                _partition_block(w100, k, (1,), 1)
+        split = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2\n")
+        with pytest.raises(ContiguityError):
+            _partition_block(split, 2, (1,), 1)
 
     @pytest.mark.parametrize("want_rejection, k, trials, rho_hat", [
         (False, 79, 7, -0.13540828322856058),
@@ -453,13 +485,13 @@ class TestEffects:
     @pytest.mark.parametrize("rho_values", [(0.9,), (-0.9, 0.0, 0.9)])
     def test_partitions_grown_once_per_instance_and_k(self, monkeypatch, rho_values):
         # instances x |ks| x r growths, whatever the number of rho levels
-        grow, grown = experiments._grow, []
+        grow, grown = experiments._grow_block, []
 
-        def counting(w, k, bitgen):
-            grown.append(k)
-            return grow(w, k, bitgen)
+        def counting(w, k, bitgen, r):
+            grown.extend([k] * r)
+            return grow(w, k, bitgen, r)
 
-        monkeypatch.setattr(experiments, "_grow", counting)
+        monkeypatch.setattr(experiments, "_grow_block", counting)
         config = EffectsConfig(k_lists={100: (12, 53, 90)}, rho_values=rho_values,
                                instances=2, r=3, master_seed=24)
         summary = effects_experiment(config)

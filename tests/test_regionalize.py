@@ -27,8 +27,9 @@ from smaup import (
     is_connected,
     random_regions,
 )
+from smaup import regionalize
 from smaup.experiments import _partitions
-from smaup.regionalize import _grow
+from smaup.regionalize import _grow, _grow_block
 
 
 def union_find_region_check(assignment, neighbors, k) -> bool:
@@ -218,7 +219,9 @@ def path_stream(path, rep):
 class ZeroedWords:
     """A PCG64 whose every third 32-bit output half (counted from the start,
     low half first) reads 0: a word in the redraw zone of every range m that
-    is not a power of two, which PCG64 words almost never are."""
+    is not a power of two, which PCG64 words almost never are. Like PCG64's,
+    its positions count modulo the period, 2**128, so an advance that wraps
+    past it moves back."""
 
     def __init__(self, seed):
         self.bitgen, self.served = np.random.PCG64(seed), 0
@@ -227,13 +230,13 @@ class ZeroedWords:
         out = self.bitgen.random_raw(1 if size is None else size)
         halves = out.astype("<u8").view("<u4").copy()
         halves[(-2 * self.served) % 3::3] = 0
-        self.served += out.size
+        self.served = (self.served + out.size) % 2**128
         out = halves.view("<u8").astype(np.uint64)
         return out if size is not None else out[0]
 
     def advance(self, delta):
         self.bitgen.advance(delta)
-        self.served += delta
+        self.served = (self.served + delta) % 2**128
 
 
 class KeyedStream:
@@ -389,9 +392,78 @@ class TestRandomConnectedGraphs:
         assert np.array_equal(r.assignment, reference_random_regions(w, k, np.random.PCG64(seed)))
 
 
+def block_ks(n):
+    return sorted({k for k in (2, 5, n // 3, n - 2, n) if 1 <= k <= n})
+
+
+def position(stream):
+    """Where a PCG64, or a ZeroedWords, stands in its stream."""
+    if isinstance(stream, ZeroedWords):
+        return stream.bitgen.state, stream.served
+    return stream.state
+
+
+def assert_block_is_successive_grows(w, k, stream, r, seed):
+    """``_grow_block`` on ``stream(seed)`` gives the labels of r ``_grow``
+    calls on another ``stream(seed)``, and leaves it where they leave theirs."""
+    grown, block = stream(seed), stream(seed)
+    expected = np.array([_grow(w, k, grown) for _ in range(r)], np.int64).reshape(r, w.n)
+    got = _grow_block(w, k, block, r)
+    assert got.dtype == np.int64 and np.array_equal(got, expected), (k, seed)
+    assert position(block) == position(grown), (k, seed)
+
+
+class TestGrowBlock:
+    """The block set-up of the effects harness grows what the per-repeat
+    set-up grows, repeat by repeat, from the same outputs."""
+
+    @pytest.mark.parametrize("stream", [np.random.PCG64, ZeroedWords], ids=["pcg64", "zeroed-words"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_rows_are_successive_grows(self, name, stream):
+        w = ORACLE_GRAPHS[name]()
+        for k in block_ks(w.n):
+            for seed in ORACLE_SEEDS[:3]:
+                assert_block_is_successive_grows(w, k, stream, 4, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1),
+           st.sampled_from([np.random.PCG64, ZeroedWords]), st.integers(1, 4))
+    def test_rows_are_successive_grows_on_random_graphs(self, data, w, seed, stream, r):
+        k = data.draw(st.sampled_from(block_ks(w.n)))
+        assert_block_is_successive_grows(w, k, stream, r, seed)
+
+    def test_row_that_runs_out_continues_its_own_substream(self, monkeypatch):
+        # with every third word zeroed, k = 3 regions redraw past the pick
+        # words a repeat reads ahead: each row reads on in its own substream,
+        # from where those words end
+        more_words, continued = regionalize._more_words, []
+
+        def counting(bitgen, behind, size):
+            continued.append(behind)
+            yield from more_words(bitgen, behind, size)
+
+        w, k, r = build_lattice_rook(10, 10), 3, 5
+        stream, block = ZeroedWords(3), ZeroedWords(3)
+        expected = [_grow(w, k, stream) for _ in range(r)]
+        monkeypatch.setattr(regionalize, "_more_words", counting)
+        got = _grow_block(w, k, block, r)
+        lead = w.n + w.n - k + regionalize._SPARE_PICKS
+        assert continued == [(r - i) * regionalize._JUMP - lead for i in range(r)]
+        assert np.array_equal(got, np.array(expected))
+        assert position(block) == position(stream)
+
+    def test_ends_where_the_next_repeat_starts(self):
+        w = ORACLE_GRAPHS["delaunay300"]()
+        for k in block_ks(w.n):
+            bitgen = np.random.PCG64(8)
+            _grow_block(w, k, bitgen, 6)
+            assert bitgen.state == np.random.PCG64(8).jumped(6).state, k
+
+
 class TestNeighborMasks:
-    """Growth's neighbor masks are cached on the weights they describe: they
-    die with them and never travel in their pickle."""
+    """Growth's neighbor masks and padded neighbor table are cached on the
+    weights they describe: they die with them and never travel in their
+    pickle."""
 
     def test_masks_match_neighbors(self):
         w = ORACLE_GRAPHS["lattice45x45-relabelled"]()
@@ -418,6 +490,26 @@ class TestNeighborMasks:
         copy = pickle.loads(pickle.dumps(w))
         assert copy == w and "_neighbor_masks" not in copy.__dict__
         assert random_regions(copy, 5, seed=1) == before
+
+    def test_table_matches_neighbors(self):
+        w = delaunay_weights(60, seed=4)
+        table = w._neighbor_table
+        assert table.shape == (w.n, max(map(len, w.neighbors)))
+        assert not table.flags.writeable
+        for row, neighbors in zip(table.tolist(), w.neighbors):
+            assert row == [*neighbors] + [w.n] * (table.shape[1] - len(neighbors))
+
+    def test_table_stays_out_of_pickle(self):
+        w = build_lattice_rook(7, 13)
+        is_connected(w)
+        random_regions(w, 5, seed=1)
+        size = len(pickle.dumps(w))
+        before = _grow_block(w, 5, np.random.PCG64(1), 3)
+        assert "_neighbor_table" in w.__dict__
+        assert len(pickle.dumps(w)) == size
+        copy = pickle.loads(pickle.dumps(w))
+        assert copy == w and "_neighbor_table" not in copy.__dict__
+        assert np.array_equal(_grow_block(copy, 5, np.random.PCG64(1), 3), before)
 
 
 def networkx_graph(w):
