@@ -109,11 +109,22 @@ def _rho_row(rho: float) -> int:
     return min(range(len(RHO_GRID)), key=lambda i: (abs(RHO_GRID[i] - rho), abs(RHO_GRID[i])))
 
 
+def _is_integer(x) -> bool:
+    """True for an int or a numpy integer; a bool is no count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_area_count(n: int) -> int:
+    """``n`` if it is an integer >= 1; otherwise InvalidDimensionError."""
+    if not _is_integer(n) or n < 1:
+        raise InvalidDimensionError(f"area count must be an integer >= 1, got {n!r}")
+    return n
+
+
 def _n_column(n: int) -> int:
     """Grid column nearest the area count n, an integer >= 1; otherwise
     InvalidDimensionError."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimensionError(f"area count must be an integer >= 1, got {n!r}")
+    _check_area_count(n)
     return min(range(len(N_GRID)), key=lambda j: abs(N_GRID[j] - n))
 
 

@@ -4,15 +4,16 @@ distributions, and power/size estimation for the sensitivity test.
 Every harness repeats one step: grow r random partitions of the areas into
 k contiguous regions. A seed path names one PCG64 stream, the bit generator
 ``derive_rng(*seed_path)`` wraps, and repeat ``rep`` reads it from where
-``bitgen.jumped(rep)`` starts (the draw contract of ``regionalize``). The
-step has two forms, which give the same partitions and share
-``random_regions``'s growth loop but skip its validation. The acceptance
-filter takes :func:`_partitions`, which grows a repeat only when it is
-reached, one aggregation at a time, since the filter stops at the first
-that decides it. The effects harness takes :func:`_partition_block`, which
-grows all r repeats of an (instance, k) as one block and sizes their
-regions in one offset ``bincount``, since it aggregates on all of them.
-Both callers take region means by ``bincount``.
+``bitgen.jumped(rep)`` starts (the draw contract of ``regionalize``).
+:func:`_partition_block` grows the next repeats of a stream as one block,
+by ``random_regions``'s growth without its validation, checks them, and
+sizes their regions in one offset ``bincount``. The effects harness takes
+all r repeats of an (instance, k) as one block, since it aggregates on all
+of them. The acceptance filter takes them through :func:`_partitions`, in
+blocks of 1, 2, 4, ..., since it stops at the first aggregation that
+decides it; it grows at most one block past that repeat. How a stream is
+split into blocks moves no partition. Both callers take region means by
+``bincount``.
 
 The null, power and size harnesses share one instance recipe, set by one
 flag. A SAR field is drawn on a square rook lattice, a region count k is
@@ -62,7 +63,7 @@ import numpy as np
 
 from ._version import __version__ as _toolkit_version
 from .core import m_statistic
-from .critical_values import RHO_GRID, _check_alpha, critical_value
+from .critical_values import RHO_GRID, _check_alpha, _check_area_count, _is_integer, critical_value
 from .errors import (
     CorruptPartitionError,
     ExperimentStallError,
@@ -70,7 +71,7 @@ from .errors import (
     InvalidKError,
     RepeatedValueError,
 )
-from .regionalize import _check_growable, _grow, _grow_block
+from .regionalize import _check_growable, _grow
 from .sar import (
     SarSpec,
     estimate_rho,
@@ -135,15 +136,16 @@ def _refuse_repeats(name: str, values, scope: str = "") -> None:
 
 
 def lattice_for_area_count(n: int) -> SpatialWeights:
-    """Square rook lattice with n areas; n must be a perfect square.
+    """Square rook lattice with n areas; n must be an integer >= 1 (a numpy
+    integer will do, a bool or a float will not) and a perfect square.
 
     Every call for one n returns the same object for the life of the
     process, so what the harnesses compute on a lattice and cache on it
-    (its spectrum, neighbour masks and table, connectivity verdict and
-    sparse matrix) is computed once. Treat it as read-only;
-    ``build_lattice_rook`` gives a fresh lattice of one's own.
+    (its spectrum, neighbour masks, connectivity verdict and sparse matrix)
+    is computed once. Treat it as read-only; ``build_lattice_rook`` gives a
+    fresh lattice of one's own.
     """
-    side = math.isqrt(n)
+    side = math.isqrt(_check_area_count(n))
     if side * side != n:
         raise InvalidDimensionError(f"area count {n} is not a perfect square lattice size")
     return _square_lattice(side)
@@ -237,34 +239,40 @@ def _partitions(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
 
     One PCG64, in the state ``derive_rng(*seed_path)`` wraps, serves every
     repeat: repeat ``rep`` grows its regions from where ``bitgen.jumped(rep)``
-    starts, when the consumer asks for it, and a repeat never asked for draws
-    nothing. The labels keep ``random_regions``'s draw contract, and
-    ``np.bincount(labels, y.values) / sizes`` are the region means of
-    ``aggregate_mean``, bit for bit.
+    starts. :func:`_partition_block` grows the repeats in blocks of 1, 2, 4,
+    ... (the last cut to r), each when the consumer first asks for one of its
+    repeats, so a consumer that stops after repeat j has grown
+    min(r, 2**(floor(log2(j + 1)) + 1) - 1) repeats: at most one block past
+    the one it stopped in. How the repeats are split into blocks moves no
+    label.
+    """
+    bitgen = derive_rng(*seed_path).bit_generator
+    grown = 0
+    while grown < r:
+        size = min(grown + 1, r - grown)
+        yield from zip(*_partition_block(w, k, bitgen, size))
+        grown += size
+
+
+def _partition_block(w: SpatialWeights, k: int, bitgen: np.random.PCG64, r: int):
+    """The labels and region sizes of the next r partitions of ``bitgen``'s
+    stream into k regions, as (r, n) and (r, k) arrays.
+
+    The labels keep ``random_regions``'s draw contract without its
+    validation, and ``np.bincount(labels[i], y.values) / sizes[i]`` are the
+    region means of ``aggregate_mean``, bit for bit. No partition with an
+    unassigned area, a label outside [0, k) or an empty region gets out.
     """
     _check_growable(w, k)
-    bitgen = derive_rng(*seed_path).bit_generator
-    for _ in range(r):
-        labels = np.fromiter(_grow(w, k, bitgen), np.int64, w.n)
-        sizes = np.bincount(labels)
-        if sizes.size != k or np.minimum.reduce(sizes) < 1:
-            raise CorruptPartitionError(f"grown partition does not use all {k} region labels")
-        yield labels, sizes
-
-
-def _partition_block(w: SpatialWeights, k: int, seed_path: tuple[int, ...], r: int):
-    """The labels and region sizes of the r partitions :func:`_partitions`
-    yields, as (r, n) and (r, k) arrays, grown as one block (``regionalize``):
-    for a consumer that takes all r."""
-    _check_growable(w, k)
-    labels = _grow_block(w, k, derive_rng(*seed_path).bit_generator, r)
-    if labels.min() >= 0:
+    labels = _grow(w, k, bitgen, r)
+    if labels.min() >= 0 and labels.max() < k:
         # row i owns bins i k to i k + k - 1 of one bincount
         sizes = np.bincount((labels + k * np.arange(r)[:, None]).ravel(), minlength=r * k)
         if sizes.min() >= 1:
             return labels, sizes.reshape(r, k)
     raise CorruptPartitionError(
-        f"a grown partition leaves an area unassigned or one of its {k} regions empty")
+        f"a grown partition leaves an area unassigned, a label outside [0, {k}) "
+        f"or one of its {k} regions empty")
 
 
 def _accepted_instance(
@@ -319,8 +327,8 @@ def _accepted_records(cells, want_rejection: bool, instances: int, r: int,
                       master_seed: int, workers: int) -> list[list[tuple[float, float]]]:
     """(M, estimated rho) of accepted instances 0..instances-1 of each (w, rho)
     cell, one list per cell in instance order."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if not _is_integer(r) or r < 1:
+        raise ValueError(f"r must be >= 1 and an integer, got {r!r}")
     for w, _ in cells:
         w_eigenvalues(w)  # cached once, before fan-out: every instance estimates rho on w
     tasks = [(w, rho, master_seed, want_rejection, r) for w, rho in cells]
@@ -347,7 +355,7 @@ def generate_null(
     ``w_or_n`` is either a SpatialWeights object or an integer area count
     (a perfect square, turned into a rook lattice).
     """
-    w = w_or_n if isinstance(w_or_n, SpatialWeights) else lattice_for_area_count(int(w_or_n))
+    w = w_or_n if isinstance(w_or_n, SpatialWeights) else lattice_for_area_count(w_or_n)
     (records,) = _accepted_records([(w, rho)], False, replicates, r, master_seed, workers)
     return NullDistribution(
         n=w.n,
@@ -411,19 +419,17 @@ def _rejection_experiment(
     workers: int,
     r: int,
 ) -> PowerSizeReport:
-    n_values = [int(n) for n in n_values]
-    rho_values = [float(rho) for rho in rho_values]
-    _refuse_repeats("N", n_values)
-    _refuse_repeats("rho", rho_values)
     _check_alpha(alpha)
-    lattices = {n: lattice_for_area_count(n) for n in n_values}
-    pairs = [(n, rho) for n in n_values for rho in rho_values]
-    per_cell = _accepted_records([(lattices[n], rho) for n, rho in pairs], want_rejection,
-                                 instances, r, master_seed, workers)
+    lattices = [lattice_for_area_count(n) for n in n_values]
+    rho_values = [float(rho) for rho in rho_values]
+    _refuse_repeats("N", [w.n for w in lattices])
+    _refuse_repeats("rho", rho_values)
+    pairs = [(w, rho) for w in lattices for rho in rho_values]
+    per_cell = _accepted_records(pairs, want_rejection, instances, r, master_seed, workers)
     cells = tuple(
-        {"n": n, "rho": rho,
-         "proportion": sum(m > critical_value(n, rho_hat, alpha) for m, rho_hat in records) / instances}
-        for (n, rho), records in zip(pairs, per_cell)
+        {"n": w.n, "rho": rho,
+         "proportion": sum(m > critical_value(w.n, rho_hat, alpha) for m, rho_hat in records) / instances}
+        for (w, rho), records in zip(pairs, per_cell)
     )
     return PowerSizeReport("power" if want_rejection else "size", alpha, instances, cells, master_seed)
 
@@ -476,8 +482,9 @@ class EffectsConfig:
     level solves its field from the instance's one set of innovations. In
     either mode the rho levels of an instance share one set of r partitions
     per k, and no seed path names an N, rho or k position, so a cell does not
-    depend on the other cells of the run. Every k must lie in [2, N], and no
-    rho level, or k of one N, may be given twice.
+    depend on the other cells of the run. Every k must be an integer in
+    [2, N], r an integer >= 1, and no rho level, or k of one N, may be given
+    twice.
     """
 
     k_lists: dict[int, tuple[int, ...]]
@@ -494,12 +501,13 @@ class EffectsConfig:
         for n, ks in self.k_lists.items():
             _refuse_repeats("k", ks, f" for N={n}")
             for k in ks:
-                if not 2 <= k <= n:
+                if not _is_integer(k) or not 2 <= k <= n:
                     raise InvalidKError(
-                        f"cell (N={n}, k={k}): k must lie in [2, N] (two-sample tests need 2 regions)"
+                        f"cell (N={n}, k={k}): k must lie in [2, N] and be an integer "
+                        "(two-sample tests need 2 regions)"
                     )
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        if not _is_integer(self.r) or self.r < 1:
+            raise ValueError(f"r must be >= 1 and an integer, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -637,7 +645,8 @@ def _effects_instance_task(args) -> dict:
     values = np.stack(fields)
     out: dict[tuple[float, int], tuple] = {}
     for k in ks:
-        labels, sizes = _partition_block(w, k, (master_seed, instance, _ROLE_REGIONS, k), config.r)
+        bitgen = derive_rng(master_seed, instance, _ROLE_REGIONS, k).bit_generator
+        labels, sizes = _partition_block(w, k, bitgen, config.r)
         rcm, rcv, welch, levene = _effects_rows(values, labels, sizes)
         t_rej, lev_rej = (test.rejects(_FILTER_ALPHA).sum(axis=1) for test in (welch, levene))
         for rho, rcm_bar, rcv_bar, t, lev in zip(config.rho_values, _mean(rcm), _mean(rcv), t_rej, lev_rej):

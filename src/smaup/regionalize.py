@@ -5,13 +5,13 @@ without replacement, then regions repeatedly claim a random unassigned
 neighbor until every area is assigned. Each region is contiguous by
 construction. Aggregation uses the unweighted mean of member areas.
 
-One growth loop, :func:`_claim`, serves two set-ups of one draw contract.
-:func:`_grow` sets up one repeat, for a consumer that may stop after any
-repeat: :func:`random_regions` and, without its validation, the Monte Carlo
-kernel ``experiments._partitions``, whose acceptance filter stops at the
-first repeat that decides it. :func:`_grow_block` sets up r repeats as one
-block of arrays, for a consumer that takes all r: the effects harness. Both
-give the same labels from the same outputs.
+One set-up, :func:`_grow`, grows the next r repeats of a stream as one
+block by one loop, :func:`_claim`. :func:`random_regions` takes a block of
+one; the Monte Carlo kernels of ``experiments`` skip its validation and take
+blocks of any size: all r repeats for the effects harness, and blocks of 1,
+2, 4, ... for the acceptance filter, which stops at the first repeat that
+decides it. A block's rows do not depend on how the repeats are split into
+blocks.
 
 Growth holds sets of areas as Python ints, bit j for area j: the unassigned
 areas, and per region its reach, the union of its areas' neighbor sets
@@ -169,7 +169,7 @@ def _more_words(bitgen, behind: int, size: int):
 def _claim(masks, assignment, reach: list[int], active: list[int], unassigned: int,
            word) -> None:
     """Grow regions in place until every area is assigned or none can grow.
-    ``assignment`` is a list, or a row of labels seen through a memoryview.
+    ``assignment`` is a row of labels seen through a memoryview.
 
     A region's frontier is ``reach & unassigned`` (module docstring); its
     i-th area is found by clearing the i lowest, or the m - 1 - i highest, of
@@ -217,41 +217,17 @@ def _claim(masks, assignment, reach: list[int], active: list[int], unassigned: i
             active.pop(pos)
 
 
-def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64) -> list[int]:
-    """Region labels of :func:`random_regions`, for k and a graph already checked,
-    grown from ``bitgen``'s next substream (module docstring): the set-up of
-    one repeat, for a consumer that may stop after any repeat."""
-    n, masks = w.n, w._neighbor_masks
-    picks = n - k + _SPARE_PICKS
-    lead = n + picks
-    raw = bitgen.random_raw(lead)
-    bitgen.advance(_JUMP - lead)
-    seeds = raw[:n].argsort(kind="stable")[:k]
-    labels = np.empty(n, np.int64)
-    labels.fill(-1)
-    labels[seeds] = np.arange(k)
-    unassigned = int.from_bytes(np.packbits(labels < 0, bitorder="little").tobytes(), "little")
-    assignment = labels.tolist()
-    reach = [masks[area] for area in seeds.tolist()]
-    active = list(compress(range(k), map(unassigned.__and__, reach)))
-    word = chain(_halves(raw[n:]), _more_words(bitgen, _JUMP - lead, picks)).__next__
-    _claim(masks, assignment, reach, active, unassigned, word)
-    return assignment
+def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64, r: int) -> np.ndarray:
+    """Region labels of :func:`random_regions`, for k and a graph already
+    checked, grown from ``bitgen``'s next r substreams (module docstring) as
+    the rows of an (r, n) array. It leaves ``bitgen`` where the next repeat
+    starts.
 
-
-def _grow_block(w: SpatialWeights, k: int, bitgen: np.random.PCG64, r: int) -> np.ndarray:
-    """The labels of r successive :func:`_grow` calls on ``bitgen`` as the rows
-    of an (r, n) array: the set-up of a block, for a consumer that takes all
-    r repeats. It reads what those calls read and leaves ``bitgen`` where
-    they leave it.
-
-    Every repeat's outputs are read first; then one stable row argsort draws
-    all seeds, one label fill and one ``packbits`` give every row's
-    unassigned set, the padded neighbor table gives every row's initial
-    active list, a region being active iff its seed touches a free area,
-    and one gather gives every row's reaches. Each row then grows in place
-    by the loop :func:`_grow` runs; a row that uses up its pick words reads
-    on in its own substream."""
+    Every repeat's seed keys and pick words are read first; then one stable
+    row argsort draws all seeds, and one ``packbits`` gives every row's
+    unassigned set. Each row takes its seeds' reaches, makes a region active
+    iff its reach holds a free area, and grows in place by :func:`_claim`;
+    a row that uses up its pick words reads on in its own substream."""
     n, masks = w.n, w._neighbor_masks
     picks = n - k + _SPARE_PICKS
     lead = n + picks
@@ -262,25 +238,16 @@ def _grow_block(w: SpatialWeights, k: int, bitgen: np.random.PCG64, r: int) -> n
     seeds = raw[:, :n].argsort(axis=1, kind="stable")[:, :k]
     labels = np.empty((r, n), np.int64)
     labels.fill(-1)
-    np.put_along_axis(labels, seeds, np.arange(k), axis=1)
-    free = np.zeros((r, n + 1), bool)  # column n: the table's padding, never free
-    np.less(labels, 0, out=free[:, :n])
-    touches_free = np.zeros((r, n), bool)
-    for column in w._neighbor_table.T:
-        touches_free |= free[:, column]
-    active = np.take_along_axis(touches_free, seeds, axis=1)
-    ends = np.count_nonzero(active, axis=1).cumsum().tolist()
-    regions = np.nonzero(active)[1].tolist()  # row by row
-    reaches = np.array(masks, object)[seeds].tolist()
-    unassigned = np.packbits(free[:, :n], axis=1, bitorder="little")
+    labels[np.arange(r)[:, None], seeds] = np.arange(k)
+    unassigned = np.packbits(labels < 0, axis=1, bitorder="little")
     width, unassigned = unassigned.shape[1], unassigned.tobytes()
     flat = memoryview(labels.reshape(-1))
-    start = 0
-    for i, (end, reach, words) in enumerate(zip(ends, reaches, _halves(raw[:, n:]))):
+    for i, (row_seeds, words) in enumerate(zip(seeds.tolist(), _halves(raw[:, n:]))):
+        free = int.from_bytes(unassigned[i * width:i * width + width], "little")
+        reach = [masks[area] for area in row_seeds]
+        active = list(compress(range(k), map(free.__and__, reach)))
         word = chain(words, _more_words(bitgen, (r - i) * _JUMP - lead, picks)).__next__
-        _claim(masks, flat[i * n:i * n + n], reach, regions[start:end],
-               int.from_bytes(unassigned[i * width:i * width + width], "little"), word)
-        start = end
+        _claim(masks, flat[i * n:i * n + n], reach, active, free, word)
     return labels
 
 
@@ -311,8 +278,7 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
         If the contiguity graph is disconnected.
     """
     _check_growable(w, k)
-    assignment = _grow(w, k, np.random.PCG64(seed))
-    return Regionalization(assignment=np.array(assignment), k=k)
+    return Regionalization(assignment=_grow(w, k, np.random.PCG64(seed), 1)[0], k=k)
 
 
 def _check_growable(w: SpatialWeights, k: int) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import pickle
 
 import numpy as np
@@ -105,6 +106,47 @@ class TestNullDistribution:
                 lattice_for_area_count(150)
 
 
+class TestCountsAreIntegers:
+    """An area count, an r or an effects k that is not an integer is refused
+    before anything runs, never truncated."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: lattice_for_area_count(100.0),
+        lambda: lattice_for_area_count(True),
+        lambda: lattice_for_area_count(0),
+        lambda: lattice_for_area_count(-4),
+        lambda: generate_null(100.7, 0.0, 2),
+        lambda: size_experiment([100.9], [0.0], 2),
+        lambda: power_experiment([np.float64(100)], [0.0], 2),
+        lambda: effects_experiment(EffectsConfig(k_lists={100.0: (12,)}, instances=1, r=2)),
+    ], ids=["lattice-float", "lattice-bool", "lattice-zero", "lattice-negative", "null-fraction",
+            "size-fraction", "power-numpy-float", "effects-float"])
+    def test_area_count_must_be_an_integer(self, run):
+        with pytest.raises(InvalidDimensionError, match="area count must be an integer >= 1"):
+            run()
+
+    def test_numpy_integer_area_count_accepted(self):
+        assert lattice_for_area_count(np.int64(100)) is lattice_for_area_count(100)
+        report = size_experiment([np.int64(100)], [0.0], 1, r=2, master_seed=3)
+        assert report.to_json() == size_experiment([100], [0.0], 1, r=2, master_seed=3).to_json()
+
+    @pytest.mark.parametrize("run", [
+        lambda: generate_null(100, 0.0, 2, r=2.5),
+        lambda: generate_null(100, 0.0, 2, r=True),
+        lambda: power_experiment([100], [0.0], 2, r=2.5),
+        lambda: size_experiment([100], [0.0], 2, r=np.float64(2)),
+        lambda: EffectsConfig(k_lists={100: (12,)}, instances=1, r=2.5),
+    ], ids=["null-fraction", "null-bool", "power-fraction", "size-numpy-float", "effects-fraction"])
+    def test_r_must_be_an_integer(self, run):
+        with pytest.raises(ValueError, match="r must be >= 1 and an integer"):
+            run()
+
+    @pytest.mark.parametrize("k", [12.5, 12.0, np.float64(53)])
+    def test_effects_k_must_be_an_integer(self, k):
+        with pytest.raises(InvalidKError, match=r"must lie in \[2, N\] and be an integer"):
+            EffectsConfig(k_lists={100: (k,)}, instances=1)
+
+
 class TestAcceptanceRecipe:
     def test_filters_mutually_exclusive(self, w100):
         hits = 0
@@ -129,15 +171,16 @@ class TestAcceptanceRecipe:
         assert len(got) == 6
         for rep, (labels, sizes) in enumerate(got):
             bitgen = derive_rng(*path).bit_generator.jumped(rep)
-            regions = Regionalization(np.array(_grow(w100, 23, bitgen)), 23)
+            regions = Regionalization(_grow(w100, 23, bitgen, 1)[0], 23)
             eager = aggregate_mean(y, regions)
             assert np.array_equal(labels, regions.assignment)
             assert np.array_equal(sizes, eager.region_sizes)
             assert np.array_equal(np.bincount(labels, y.values) / sizes, eager.region_means)
 
     def test_kernel_draws_only_the_repeats_read(self, w100, monkeypatch):
-        # one bit generator per call; reading repeats 0-1 leaves it where
-        # repeat 2 starts, so a filter that stops early draws nothing more
+        # one bit generator per call; reading repeat 0 leaves it where repeat
+        # 1 starts, so a filter that stops there draws nothing more, and
+        # reading repeat 1 grows the block of repeats 1 and 2
         built = []
 
         def recording(*path):
@@ -147,14 +190,34 @@ class TestAcceptanceRecipe:
         monkeypatch.setattr(experiments, "derive_rng", recording)
         kernel = _partitions(w100, 20, (1, 2), 30)
         next(kernel)
-        next(kernel)
         ((path, rng),) = built
         assert path == (1, 2)
-        assert rng.bit_generator.state == derive_rng(1, 2).bit_generator.jumped(2).state
+        assert rng.bit_generator.state == derive_rng(1, 2).bit_generator.jumped(1).state
+        next(kernel)
+        assert rng.bit_generator.state == derive_rng(1, 2).bit_generator.jumped(3).state
+
+    @pytest.mark.parametrize("stop", [0, 1, 2, 3, 6, 7, 13, 14, 15, 28, 29])
+    def test_kernel_grows_at_most_one_block_past_the_stop(self, w100, monkeypatch, stop):
+        # blocks of 1, 2, 4, 8 and 15 repeats: a consumer that stops after
+        # repeat j has grown min(30, 2**(floor(log2(j + 1)) + 1) - 1) of them
+        grow, rows = experiments._grow, []
+
+        def counting(w, k, bitgen, r):
+            rows.append(r)
+            return grow(w, k, bitgen, r)
+
+        monkeypatch.setattr(experiments, "_grow", counting)
+        kernel = _partitions(w100, 20, (1, 2), 30)
+        for _ in range(stop + 1):
+            next(kernel)
+        assert sum(rows) == min(30, 2 ** (math.floor(math.log2(stop + 1)) + 1) - 1)
+        assert len(list(kernel)) == 29 - stop
+        assert rows == [1, 2, 4, 8, 15]
 
     def test_kernel_guards_the_partition(self, w100, monkeypatch):
         # a grower that leaves a label unused must not reach Levene or Welch
-        monkeypatch.setattr(experiments, "_grow", lambda w, k, bitgen: [0] * (w.n - 1) + [2])
+        monkeypatch.setattr(experiments, "_grow",
+                            lambda w, k, bitgen, r: np.array([[0] * (w.n - 1) + [2]] * r))
         with pytest.raises(CorruptPartitionError):
             next(_partitions(w100, 3, (1,), 1))
 
@@ -169,33 +232,35 @@ class TestAcceptanceRecipe:
     @pytest.mark.parametrize("k", [1, 3, 23, 99, 100])
     def test_block_equals_stacked_kernel(self, w100, k):
         path = (5, 1, experiments._ROLE_REGIONS, k)
-        labels, sizes = _partition_block(w100, k, path, 7)
+        labels, sizes = _partition_block(w100, k, derive_rng(*path).bit_generator, 7)
         stacked = list(_partitions(w100, k, path, 7))
         assert labels.shape == (7, 100) and sizes.shape == (7, k)
         assert np.array_equal(labels, np.stack([row for row, _ in stacked]))
         assert np.array_equal(sizes, np.stack([row for _, row in stacked]))
 
-    @pytest.mark.parametrize("bad_row", [[0] * 99 + [2], [-1] + [0] * 49 + [1] * 49 + [2]],
-                             ids=["unused-label", "unassigned-area"])
+    @pytest.mark.parametrize("bad_row", [[0] * 99 + [2], [-1] + [0] * 49 + [1] * 49 + [2],
+                                         [0] * 49 + [1] * 49 + [2, 3]],
+                             ids=["unused-label", "unassigned-area", "label-out-of-range"])
     def test_block_guards_every_partition(self, w100, monkeypatch, bad_row):
         # one bad row of the block must not reach Levene or Welch; offset
-        # bincount alone would count the unassigned area in the row before
+        # bincount alone would count the unassigned area in the row before,
+        # and a label of k in the row after
         def growing(w, k, bitgen, r):
             labels = np.tile(np.arange(w.n) % k, (r, 1))
             labels[r - 1] = bad_row
             return labels
 
-        monkeypatch.setattr(experiments, "_grow_block", growing)
+        monkeypatch.setattr(experiments, "_grow", growing)
         with pytest.raises(CorruptPartitionError, match="one of its 3 regions empty"):
-            _partition_block(w100, 3, (1,), 4)
+            _partition_block(w100, 3, np.random.PCG64(1), 4)
 
     def test_block_checks_k_and_connectivity(self, w100):
         for k in (0, 101):
             with pytest.raises(InvalidKError):
-                _partition_block(w100, k, (1,), 1)
+                _partition_block(w100, k, np.random.PCG64(1), 1)
         split = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2\n")
         with pytest.raises(ContiguityError):
-            _partition_block(split, 2, (1,), 1)
+            _partition_block(split, 2, np.random.PCG64(1), 1)
 
     @pytest.mark.parametrize("want_rejection, k, trials, rho_hat", [
         (False, 79, 7, -0.13540828322856058),
@@ -485,13 +550,13 @@ class TestEffects:
     @pytest.mark.parametrize("rho_values", [(0.9,), (-0.9, 0.0, 0.9)])
     def test_partitions_grown_once_per_instance_and_k(self, monkeypatch, rho_values):
         # instances x |ks| x r growths, whatever the number of rho levels
-        grow, grown = experiments._grow_block, []
+        grow, grown = experiments._grow, []
 
         def counting(w, k, bitgen, r):
             grown.extend([k] * r)
             return grow(w, k, bitgen, r)
 
-        monkeypatch.setattr(experiments, "_grow_block", counting)
+        monkeypatch.setattr(experiments, "_grow", counting)
         config = EffectsConfig(k_lists={100: (12, 53, 90)}, rho_values=rho_values,
                                instances=2, r=3, master_seed=24)
         summary = effects_experiment(config)

@@ -29,7 +29,7 @@ from smaup import (
 )
 from smaup import regionalize
 from smaup.experiments import _partitions
-from smaup.regionalize import _grow, _grow_block
+from smaup.regionalize import _grow
 
 
 def union_find_region_check(assignment, neighbors, k) -> bool:
@@ -322,7 +322,7 @@ class TestRegionStream:
                 pass
 
         w = build_lattice_rook(10, 10)
-        labels = _grow(w, w.n, TiedKeys())
+        labels = _grow(w, w.n, TiedKeys(), 1)[0].tolist()
         seeds = [labels.index(region) for region in range(w.n)]
         assert seeds == [area for key in range(3) for area in range(key, w.n, 3)]
 
@@ -334,7 +334,7 @@ class TestRegionStream:
         keys = np.random.default_rng(seed).permutation(w.n).astype(np.uint64) * 2**50
         p, q = np.argsort(keys)[k - 1:k + 1]
         keys[q] = keys[p]
-        labels = _grow(w, k, KeyedStream(seed, keys))
+        labels = _grow(w, k, KeyedStream(seed, keys), 1)[0].tolist()
         assert labels[min(p, q)] == k - 1
         expected = reference_random_regions(
             w, k, KeyedStream(seed, keys), draws=lambda bitgen: lemire_draws(raw_words(bitgen)))
@@ -358,7 +358,7 @@ class TestRegionStream:
             for seed in ORACLE_SEEDS[:4]:
                 expected = reference_random_regions(
                     w, k, ZeroedWords(seed), draws=lambda bitgen: lemire_draws(raw_words(bitgen)))
-                assert _grow(w, k, ZeroedWords(seed)) == expected.tolist(), (k, seed)
+                assert np.array_equal(_grow(w, k, ZeroedWords(seed), 1)[0], expected), (k, seed)
 
 
 @st.composite
@@ -403,19 +403,23 @@ def position(stream):
     return stream.state
 
 
-def assert_block_is_successive_grows(w, k, stream, r, seed):
-    """``_grow_block`` on ``stream(seed)`` gives the labels of r ``_grow``
-    calls on another ``stream(seed)``, and leaves it where they leave theirs."""
-    grown, block = stream(seed), stream(seed)
-    expected = np.array([_grow(w, k, grown) for _ in range(r)], np.int64).reshape(r, w.n)
-    got = _grow_block(w, k, block, r)
-    assert got.dtype == np.int64 and np.array_equal(got, expected), (k, seed)
-    assert position(block) == position(grown), (k, seed)
+def assert_block_is_successive_grows(w, k, stream, split, seed):
+    """``_grow`` of r = sum(split) repeats on ``stream(seed)`` gives the rows
+    of successive ``_grow`` blocks of the sizes in ``split`` on another
+    ``stream(seed)``, and leaves it where they leave theirs."""
+    whole, parts = stream(seed), stream(seed)
+    got = _grow(w, k, whole, sum(split))
+    expected = np.concatenate([_grow(w, k, parts, size) for size in split])
+    assert got.dtype == np.int64 and got.shape == (sum(split), w.n), (k, seed)
+    assert np.array_equal(got, expected), (k, seed, split)
+    assert position(whole) == position(parts), (k, seed, split)
 
 
 class TestGrowBlock:
-    """The block set-up of the effects harness grows what the per-repeat
-    set-up grows, repeat by repeat, from the same outputs."""
+    """A block's rows do not depend on how its repeats are split into
+    blocks: r repeats grown at once are the repeats of any consecutive split
+    of r, from the same outputs, and each row is the oracle on its
+    repeat's substream."""
 
     @pytest.mark.parametrize("stream", [np.random.PCG64, ZeroedWords], ids=["pcg64", "zeroed-words"])
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -423,14 +427,27 @@ class TestGrowBlock:
         w = ORACLE_GRAPHS[name]()
         for k in block_ks(w.n):
             for seed in ORACLE_SEEDS[:3]:
-                assert_block_is_successive_grows(w, k, stream, 4, seed)
+                for split in ((1, 2, 4), (1,) * 7, (3, 3, 1)):
+                    assert_block_is_successive_grows(w, k, stream, split, seed)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), connected_graphs(), st.integers(0, 2**63 - 1),
-           st.sampled_from([np.random.PCG64, ZeroedWords]), st.integers(1, 4))
-    def test_rows_are_successive_grows_on_random_graphs(self, data, w, seed, stream, r):
+           st.sampled_from([np.random.PCG64, ZeroedWords]),
+           st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    def test_rows_are_successive_grows_on_random_graphs(self, data, w, seed, stream, split):
         k = data.draw(st.sampled_from(block_ks(w.n)))
-        assert_block_is_successive_grows(w, k, stream, r, seed)
+        assert_block_is_successive_grows(w, k, stream, split, seed)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_rows_match_reference(self, name):
+        # row rep of a block is the oracle on the stream jumped rep times
+        w = ORACLE_GRAPHS[name]()
+        for k in block_ks(w.n):
+            for seed in ORACLE_SEEDS[:3]:
+                path = (seed, 0, 2, k)
+                for rep, row in enumerate(_grow(w, k, path_stream(path, 0), 5)):
+                    expected = reference_random_regions(w, k, path_stream(path, rep))
+                    assert np.array_equal(row, expected), (k, seed, rep)
 
     def test_row_that_runs_out_continues_its_own_substream(self, monkeypatch):
         # with every third word zeroed, k = 3 regions redraw past the pick
@@ -444,26 +461,25 @@ class TestGrowBlock:
 
         w, k, r = build_lattice_rook(10, 10), 3, 5
         stream, block = ZeroedWords(3), ZeroedWords(3)
-        expected = [_grow(w, k, stream) for _ in range(r)]
+        expected = np.concatenate([_grow(w, k, stream, 1) for _ in range(r)])
         monkeypatch.setattr(regionalize, "_more_words", counting)
-        got = _grow_block(w, k, block, r)
+        got = _grow(w, k, block, r)
         lead = w.n + w.n - k + regionalize._SPARE_PICKS
         assert continued == [(r - i) * regionalize._JUMP - lead for i in range(r)]
-        assert np.array_equal(got, np.array(expected))
+        assert np.array_equal(got, expected)
         assert position(block) == position(stream)
 
     def test_ends_where_the_next_repeat_starts(self):
         w = ORACLE_GRAPHS["delaunay300"]()
         for k in block_ks(w.n):
             bitgen = np.random.PCG64(8)
-            _grow_block(w, k, bitgen, 6)
+            _grow(w, k, bitgen, 6)
             assert bitgen.state == np.random.PCG64(8).jumped(6).state, k
 
 
 class TestNeighborMasks:
-    """Growth's neighbor masks and padded neighbor table are cached on the
-    weights they describe: they die with them and never travel in their
-    pickle."""
+    """Growth's neighbor masks are cached on the weights they describe: they
+    die with them and never travel in their pickle."""
 
     def test_masks_match_neighbors(self):
         w = ORACLE_GRAPHS["lattice45x45-relabelled"]()
@@ -491,26 +507,6 @@ class TestNeighborMasks:
         assert copy == w and "_neighbor_masks" not in copy.__dict__
         assert random_regions(copy, 5, seed=1) == before
 
-    def test_table_matches_neighbors(self):
-        w = delaunay_weights(60, seed=4)
-        table = w._neighbor_table
-        assert table.shape == (w.n, max(map(len, w.neighbors)))
-        assert not table.flags.writeable
-        for row, neighbors in zip(table.tolist(), w.neighbors):
-            assert row == [*neighbors] + [w.n] * (table.shape[1] - len(neighbors))
-
-    def test_table_stays_out_of_pickle(self):
-        w = build_lattice_rook(7, 13)
-        is_connected(w)
-        random_regions(w, 5, seed=1)
-        size = len(pickle.dumps(w))
-        before = _grow_block(w, 5, np.random.PCG64(1), 3)
-        assert "_neighbor_table" in w.__dict__
-        assert len(pickle.dumps(w)) == size
-        copy = pickle.loads(pickle.dumps(w))
-        assert copy == w and "_neighbor_table" not in copy.__dict__
-        assert np.array_equal(_grow_block(copy, 5, np.random.PCG64(1), 3), before)
-
 
 def networkx_graph(w):
     graph = nx.Graph()
@@ -531,7 +527,7 @@ def assert_regions_connected_by_networkx(w, labels, k):
 
 
 class TestMonteCarloKernel:
-    """``experiments._partitions`` grows with ``_grow``, skipping the public
+    """``experiments._partitions`` grows in ``_grow`` blocks, skipping the public
     path's validation; its labels, and the means its callers take by
     bincount, match the public path's."""
 
@@ -557,7 +553,7 @@ class TestMonteCarloKernel:
         w = ORACLE_GRAPHS[name]()
         for k in sorted({1, 2, max(1, w.n // 10), max(1, w.n // 2), w.n - 1} - {0}):
             for seed in ORACLE_SEEDS[:4]:
-                labels = _grow(w, k, np.random.PCG64(seed))
+                labels = _grow(w, k, np.random.PCG64(seed), 1)[0]
                 assert_regions_connected_by_networkx(w, labels, k)
 
 

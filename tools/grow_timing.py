@@ -1,21 +1,24 @@
 """Time region growth on two source trees side by side, in two steps.
 
 The two steps are what the harnesses ask of ``experiments``: ``partition``
-grows PARTITIONS partitions one at a time with ``_partitions``, as the
-acceptance filter does, and ``effects`` takes the labels and region sizes
-of all PARTITIONS partitions of one stream at once with
-``_partition_block``, as the effects harness does; a tree without
-``_partition_block`` stacks what ``_partitions`` yields. For every rook
-lattice of N areas, N in SIZES, and every k = round(f * N), f in FRACTIONS,
-both trees run both steps on the same stream, for ROUNDS rounds. Each tree
-runs in one long-lived process, and the two take turns cell by cell, the
-first to go alternating from round to round, so a change in the machine's
-speed falls on both sides of a pair. A lattice, its connectivity check and
-its cached neighbor data are built and warmed before the clock first starts
-on it, so the figures are growth alone. Prints, per step and (N, k),
-microseconds per partition of each tree as the median [lower quartile,
-upper quartile] over rounds, and the same summary of the per-round ratio of
-the first tree's time to the second's (above 1: the second is faster)::
+grows PARTITIONS partitions with ``_partitions``, taken one at a time, as
+the acceptance filter does, and ``effects`` takes the labels and region
+sizes of all PARTITIONS partitions of one stream at once with
+``_partition_block``, as the effects harness does. ``_partition_block``
+takes the stream as a seed path, ``(w, k, seed_path, r)``, on trees before
+the filter's blocks, and as the bit generator ``derive_rng(*seed_path)``
+wraps, ``(w, k, bitgen, r)``, after; each tree is called by its own
+signature. For every rook lattice of N areas, N in SIZES, and every
+k = round(f * N), f in FRACTIONS, both trees run both steps on the same
+stream, for ROUNDS rounds. Each tree runs in one long-lived process, and
+the two take turns cell by cell, the first to go alternating from round to
+round, so a change in the machine's speed falls on both sides of a pair. A
+lattice, its connectivity check and its cached neighbor data are built and
+warmed before the clock first starts on it, so the figures are growth
+alone. Prints, per step and (N, k), microseconds per partition of each tree
+as the median [lower quartile, upper quartile] over rounds, and the same
+summary of the per-round ratio of the first tree's time to the second's
+(above 1: the second is faster)::
 
     python tools/grow_timing.py --src ../parent/src --src src
 """
@@ -38,22 +41,22 @@ PARTITIONS = 30  # per cell and round
 STEPS = ("partition", "effects")
 
 _CHILD = """
-import json, sys
+import inspect, json, sys
 from time import perf_counter
-import numpy as np
-from smaup.experiments import _partitions, lattice_for_area_count
+from smaup.experiments import _partition_block, _partitions, lattice_for_area_count
+from smaup.seeding import derive_rng
 
-try:
-    from smaup.experiments import _partition_block
-except ImportError:
-    def _partition_block(w, k, seed_path, r):
-        return tuple(map(np.stack, zip(*_partitions(w, k, seed_path, r))))
+if "seed_path" in inspect.signature(_partition_block).parameters:
+    effects = _partition_block
+else:
+    def effects(w, k, seed_path, r):
+        return _partition_block(w, k, derive_rng(*seed_path).bit_generator, r)
 
 def partition(w, k, seed_path, r):
     for _ in _partitions(w, k, seed_path, r):
         pass
 
-steps = {"partition": partition, "effects": _partition_block}
+steps = {"partition": partition, "effects": effects}
 lattices = {}
 for line in sys.stdin:
     step, n, k, partitions, rnd = json.loads(line)
