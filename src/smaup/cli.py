@@ -20,7 +20,6 @@ import json
 import os
 import secrets
 import sys
-from itertools import chain, repeat
 from pathlib import Path
 
 from ._version import __version__
@@ -97,43 +96,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _c_encoded(obj, inner: str) -> str:
-    """``obj`` by the C encoder, items separated by a comma and ``inner``."""
-    return json.dumps(obj, separators=("," + inner, ": "))
-
-
-def _indented_json(obj, margin: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, without its pure-Python encoder.
-
-    A container that holds no container is one call of the C encoder, whose
-    item separator carries the newline and the indent. So is a list of lists
-    of scalars, which is then cut into its rows where one row's bracket closes
-    and the next one's opens: no scalar ends or begins with a bracket.
-    """
-    if not isinstance(obj, _CONTAINERS):
-        return json.dumps(obj)
-    inner = margin + "  "
-    is_dict = isinstance(obj, dict)
-    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
-        text = _c_encoded(obj, inner)
-        return text if len(text) == 2 else text[0] + inner + text[1:-1] + margin + text[-1]
-    if is_dict:
-        # each key as the encoder writes it, str, int, float, bool or None alike
-        items = (json.dumps({key: 0})[1:-4] + ": " + _indented_json(v, inner) for key, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + margin + "}"
-    deeper = inner + "  "
-    if all(map(isinstance, obj, repeat((list, tuple)))) and not any(
-            map(isinstance, chain.from_iterable(obj), repeat(_CONTAINERS))):
-        rows = _c_encoded(obj, deeper)[2:-2].split("]," + deeper + "[")
-        items = ("[" + deeper + row + inner + "]" if row else "[]" for row in rows)
-    else:
-        items = (_indented_json(v, inner) for v in obj)
-    return "[" + inner + ("," + inner).join(items) + margin + "]"
-
-
 def _emit(path: str | None, args, body: dict | str, seed: int | None = None) -> None:
     """Write one artifact, stamped with the toolkit version, config hash and
     seed: a dict as indented JSON with those keys appended, text after a
@@ -142,7 +104,7 @@ def _emit(path: str | None, args, body: dict | str, seed: int | None = None) -> 
     if seed is not None:
         meta["master_seed"] = seed
     if isinstance(body, dict):
-        text = _indented_json({**body, **meta}) + "\n"
+        text = json.dumps({**body, **meta}, indent=2) + "\n"
     else:
         text = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n" + body
     _write_text(path, text)

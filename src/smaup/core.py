@@ -31,6 +31,7 @@ from ._version import __version__ as _toolkit_version
 from .critical_values import ALPHA_GRID, RHO_GRID, _check_alpha, _rho_row, critical_value
 from .errors import DegenerateInputError, InvalidAlphaError, InvalidKError, ShapeMismatchError
 from .sar import AreaVariable, _check_rho, estimate_rho
+from .seeding import _is_integer
 from .stats import pseudo_p as _pseudo_p
 from .weights import SpatialWeights
 
@@ -231,8 +232,8 @@ def smaup_test(
     rho : float, optional
         Skip estimation and use this autocorrelation value; |rho| < 1.
     """
-    if not 1 <= k <= w.n:
-        raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
+    if not _is_integer(k) or not 1 <= k <= w.n:
+        raise InvalidKError(f"k must be an integer in [1, {w.n}], got {k!r}")
     return scan_k(y, w, alpha, k, k, null, rho)[0]
 
 
@@ -252,8 +253,8 @@ def scan_k(
     evaluated over all levels as one vector.
     """
     k_max = w.n if k_max is None else k_max
-    if not 1 <= k_min <= k_max <= w.n:
-        raise InvalidKError(f"need 1 <= k_min <= k_max <= {w.n}, got [{k_min}, {k_max}]")
+    if not (_is_integer(k_min) and _is_integer(k_max) and 1 <= k_min <= k_max <= w.n):
+        raise InvalidKError(f"need integers 1 <= k_min <= k_max <= {w.n}, got [{k_min!r}, {k_max!r}]")
     _check_alpha(alpha)
     null_n = getattr(null, "n", None)
     if null_n is not None and null_n != w.n:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidAlphaError, InvalidDimensionError
 from .sar import _check_rho
+from .seeding import _is_integer
 
 __all__ = [
     "TABLE_VERSION",
@@ -107,11 +108,6 @@ def _rho_row(rho: float) -> int:
     """Grid row nearest rho, ties toward 0; NumericalError unless |rho| < 1."""
     _check_rho(rho)
     return min(range(len(RHO_GRID)), key=lambda i: (abs(RHO_GRID[i] - rho), abs(RHO_GRID[i])))
-
-
-def _is_integer(x) -> bool:
-    """True for an int or a numpy integer; a bool is no count."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_area_count(n: int) -> int:

@@ -63,7 +63,7 @@ import numpy as np
 
 from ._version import __version__ as _toolkit_version
 from .core import m_statistic
-from .critical_values import RHO_GRID, _check_alpha, _check_area_count, _is_integer, critical_value
+from .critical_values import RHO_GRID, _check_alpha, _check_area_count, critical_value
 from .errors import (
     CorruptPartitionError,
     ExperimentStallError,
@@ -79,7 +79,7 @@ from .sar import (
     generate_with_target_rho,
     w_eigenvalues,
 )
-from .seeding import derive_rng, derive_seed
+from .seeding import _is_integer, derive_rng, derive_seed
 from .stats import (_levene, _levene_rejects, _levene_terms, _mean, _relative_change, _variance,
                     _welch, _welch_terms)
 from .weights import SpatialWeights, build_lattice_rook
@@ -361,9 +361,9 @@ def generate_null(
         n=w.n,
         rho=rho,
         values=np.array([m for m, _ in records]),
-        replicates=replicates,
-        r_aggregations=r,
-        master_seed=master_seed,
+        replicates=int(replicates),
+        r_aggregations=int(r),
+        master_seed=int(master_seed),
     )
 
 
@@ -431,7 +431,8 @@ def _rejection_experiment(
          "proportion": sum(m > critical_value(w.n, rho_hat, alpha) for m, rho_hat in records) / instances}
         for (w, rho), records in zip(pairs, per_cell)
     )
-    return PowerSizeReport("power" if want_rejection else "size", alpha, instances, cells, master_seed)
+    return PowerSizeReport("power" if want_rejection else "size", alpha, int(instances), cells,
+                           int(master_seed))
 
 
 def power_experiment(
@@ -506,8 +507,13 @@ class EffectsConfig:
                         f"cell (N={n}, k={k}): k must lie in [2, N] and be an integer "
                         "(two-sample tests need 2 regions)"
                     )
+        _check_instances(self.instances)
         if not _is_integer(self.r) or self.r < 1:
             raise ValueError(f"r must be >= 1 and an integer, got {self.r!r}")
+        # the counts checked above, as Python ints
+        object.__setattr__(self, "k_lists", {n: tuple(map(int, ks)) for n, ks in self.k_lists.items()})
+        object.__setattr__(self, "instances", int(self.instances))
+        object.__setattr__(self, "r", int(self.r))
 
 
 @dataclass(frozen=True)
@@ -686,7 +692,7 @@ def effects_experiment(config: EffectsConfig, workers: int = 1) -> EffectsSummar
         cells=tuple(cells),
         instances=config.instances,
         r=config.r,
-        master_seed=config.master_seed,
+        master_seed=int(config.master_seed),
         rho_isolation=config.rho_isolation,
     )
 
@@ -714,15 +720,19 @@ def __getattr__(name: str):
     return globals().setdefault(name, ProcessPoolExecutor)
 
 
+def _check_instances(instances: int) -> None:
+    if not _is_integer(instances) or instances < 1:
+        raise ValueError(f"need at least 1 instance or replicate per cell, an integer, got {instances!r}")
+
+
 def _fan_out(task, cells: list[tuple], instances: int, workers: int) -> list[list]:
     """Run ``task((*cell, j))`` for every cell and every instance j < ``instances``.
 
     Tasks run serially, or on a pool of ``workers`` processes; either way the
     result is one list per cell, in instance order.
     """
-    if instances < 1:
-        raise ValueError(f"need at least 1 instance or replicate per cell, got {instances}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    _check_instances(instances)
+    if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     tasks = [(*cell, j) for cell in cells for j in range(instances)]
     if workers == 1 or len(tasks) <= 1:

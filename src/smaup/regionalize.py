@@ -56,6 +56,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .sar import AreaVariable
+from .seeding import _is_integer
 from .weights import SpatialWeights, is_connected
 
 __all__ = [
@@ -91,8 +92,8 @@ class Regionalization:
         arr = np.asarray(self.assignment, dtype=np.int64)
         if arr.ndim != 1:
             raise CorruptPartitionError(f"assignment must be 1-D, got shape {arr.shape}")
-        if self.k < 1:
-            raise InvalidKError(f"k must be >= 1, got {self.k}")
+        if not _is_integer(self.k) or self.k < 1:
+            raise InvalidKError(f"k must be >= 1 and an integer, got {self.k!r}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.k):
             raise CorruptPartitionError(
                 f"labels must lie in [0, {self.k}), got range "
@@ -103,6 +104,7 @@ class Regionalization:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "assignment", arr)
+        object.__setattr__(self, "k", int(self.k))
 
     def __eq__(self, other):
         if not isinstance(other, Regionalization):
@@ -228,7 +230,7 @@ def _grow(w: SpatialWeights, k: int, bitgen: np.random.PCG64, r: int) -> np.ndar
     unassigned set. Each row takes its seeds' reaches, makes a region active
     iff its reach holds a free area, and grows in place by :func:`_claim`;
     a row that uses up its pick words reads on in its own substream."""
-    n, masks = w.n, w._neighbor_masks
+    n, masks, k, r = w.n, w._neighbor_masks, int(k), int(r)
     picks = n - k + _SPARE_PICKS
     lead = n + picks
     raw = np.empty((r, lead), np.uint64)
@@ -273,7 +275,7 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
     Raises
     ------
     InvalidKError
-        If k is outside [1, n].
+        If k is not an integer in [1, n].
     ContiguityError
         If the contiguity graph is disconnected.
     """
@@ -282,8 +284,8 @@ def random_regions(w: SpatialWeights, k: int, seed: int = 0) -> Regionalization:
 
 
 def _check_growable(w: SpatialWeights, k: int) -> None:
-    if not 1 <= k <= w.n:
-        raise InvalidKError(f"k must be in [1, {w.n}], got {k}")
+    if not _is_integer(k) or not 1 <= k <= w.n:
+        raise InvalidKError(f"k must be an integer in [1, {w.n}], got {k!r}")
     if not is_connected(w):
         raise ContiguityError("contiguous regions are impossible on a disconnected graph")
 

@@ -54,7 +54,7 @@ from .errors import (
     RetryExhaustedError,
     ShapeMismatchError,
 )
-from .seeding import derive_seed
+from .seeding import _is_integer, derive_seed
 from .weights import SpatialWeights
 
 __all__ = [
@@ -527,15 +527,15 @@ def generate_with_target_rho(
     NumericalError
         Unless |target| < 1 and window > 0.
     ValueError
-        If ``max_retries`` < 1, before any draw.
+        If ``max_retries`` is not an integer >= 1, before any draw.
     RetryExhaustedError
         After ``max_retries`` failed attempts; carries the closest attempt.
     """
     _check_rho(target)
     if not window > 0:
         raise NumericalError(f"window must be positive, got {window}")
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    if not _is_integer(max_retries) or max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1 and an integer, got {max_retries!r}")
     best: AreaVariable | None = None
     best_rho = math.nan
     best_gap = math.inf

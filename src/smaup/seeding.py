@@ -23,11 +23,17 @@ __all__ = ["derive_seed", "derive_rng"]
 _POOL_WORDS = 4  # SeedSequence's default pool size
 
 
+def _is_integer(x) -> bool:
+    """True for an int or a numpy integer; a bool is no count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _words(value: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative int, ``[0]`` for 0."""
+    """Little-endian uint32 words of a non-negative integer, ``[0]`` for 0;
+    anything else raises ValueError."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"expected non-negative integer, got {value!r}")
     value = int(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
     words = [value & 0xFFFFFFFF]
     while value := value >> 32:
         words.append(value & 0xFFFFFFFF)
@@ -40,7 +46,7 @@ def _seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
     if path:
         words += [0] * (_POOL_WORDS - len(words))
         for p in path:
-            if 0 <= p <= 0xFFFFFFFF:
+            if p.__class__ is int and 0 <= p <= 0xFFFFFFFF:
                 words.append(p)
             else:
                 words += _words(p)
@@ -51,7 +57,9 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """Derive a 64-bit child seed from ``master_seed`` and an integer path.
 
     The same (master_seed, path) always yields the same child seed, and
-    distinct paths yield statistically independent streams.
+    distinct paths yield statistically independent streams. The seed and
+    every path element must be non-negative integers (a numpy integer will
+    do, a bool or a float will not); anything else raises ValueError.
     """
     return int(_seed_sequence(master_seed, *path).generate_state(1, dtype=np.uint64)[0])
 

@@ -201,6 +201,17 @@ class TestSmaupTest:
         with pytest.raises(InvalidKError):
             smaup_test(flat_field, w30, k=901)
 
+    @pytest.mark.parametrize("run", [
+        lambda y, w: smaup_test(y, w, True),
+        lambda y, w: smaup_test(y, w, 90.5),
+        lambda y, w: scan_k(y, w, k_min=2.5, k_max=10),
+        lambda y, w: scan_k(y, w, k_min=1, k_max=np.float64(10)),
+        lambda y, w: min_safe_k(y, w, k_min=True, k_max=10),
+    ], ids=["test-bool", "test-fraction", "scan-fraction", "scan-numpy-float", "min-safe-bool"])
+    def test_k_must_be_an_integer(self, w30, flat_field, run):
+        with pytest.raises(InvalidKError, match="integer"):
+            run(flat_field, w30)
+
     def test_alpha_validation(self, w30, flat_field):
         with pytest.raises(InvalidAlphaError):
             smaup_test(flat_field, w30, k=10, alpha=0.2)

@@ -40,7 +40,7 @@ from smaup.experiments import (
     _partition_block,
     _partitions,
 )
-from smaup.regionalize import Regionalization, _grow, aggregate_mean
+from smaup.regionalize import Regionalization, _grow, aggregate_mean, random_regions, regionalization_to_csv
 from smaup.sar import SarSpec
 from smaup.seeding import derive_rng
 from smaup.stats import levene_test, rcm, rcv, welch_t_test
@@ -145,6 +145,29 @@ class TestCountsAreIntegers:
     def test_effects_k_must_be_an_integer(self, k):
         with pytest.raises(InvalidKError, match=r"must lie in \[2, N\] and be an integer"):
             EffectsConfig(k_lists={100: (k,)}, instances=1)
+
+    @pytest.mark.parametrize("run", [
+        lambda i: regionalization_to_csv(random_regions(build_lattice_rook(5, 5), i(5), seed=3)),
+        lambda i: generate_null(25, 0.0, i(3), r=i(4), master_seed=i(2)).to_json(),
+        lambda i: size_experiment([25], [0.0], i(2), r=i(3), master_seed=i(5)).to_json(),
+        lambda i: effects_experiment(EffectsConfig(k_lists={25: (i(5),)}, rho_values=(0.0, 0.9),
+                                                   instances=i(2), r=i(3), master_seed=i(7))).to_json(),
+    ], ids=["regions", "null", "size", "effects"])
+    def test_numpy_integer_counts_give_the_bytes_of_ints(self, run):
+        assert run(np.int64) == run(int)
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda: generate_null(25, 0.0, 2.5), "at least 1 instance"),
+        (lambda: generate_null(25, 0.0, True), "at least 1 instance"),
+        (lambda: size_experiment([25], [0.0], 2.0), "at least 1 instance"),
+        (lambda: EffectsConfig(k_lists={25: (5,)}, instances=0), "at least 1 instance"),
+        (lambda: EffectsConfig(k_lists={25: (5,)}, instances=1.5), "at least 1 instance"),
+        (lambda: generate_null(25, 0.0, 1, r=2, master_seed=1.5), "non-negative integer"),
+    ], ids=["null-replicates-fraction", "null-replicates-bool", "size-instances-float",
+            "effects-instances-zero", "effects-instances-fraction", "null-seed-fraction"])
+    def test_instance_counts_and_seed_must_be_integers(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 class TestAcceptanceRecipe:
@@ -327,7 +350,7 @@ class TestFanOut:
         with pytest.raises(ValueError, match="at least 1 instance"):
             run()
 
-    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     @pytest.mark.parametrize("run", [
         lambda workers: generate_null(100, 0.0, replicates=2, r=2, master_seed=1, workers=workers),
         lambda workers: power_experiment([100], [0.0], instances=2, r=2, workers=workers),

@@ -190,6 +190,11 @@ class TestRandomRegions:
         with pytest.raises(InvalidKError):
             random_regions(w10, 101, seed=0)
 
+    @pytest.mark.parametrize("k", [True, 2.5, np.float64(3)])
+    def test_k_must_be_an_integer(self, w10, k):
+        with pytest.raises(InvalidKError, match="must be an integer"):
+            random_regions(w10, k, seed=0)
+
     def test_disconnected_graph_rejected(self):
         w = from_adjacency_text("0: 1\n1: 0\n2: 3\n3: 2")
         # the connectivity answer is cached on w; every call must still refuse
@@ -620,8 +625,10 @@ class TestPartitionType:
     @pytest.mark.parametrize("assignment, k, error, message", [
         (np.zeros((2, 2), dtype=int), 1, CorruptPartitionError,
          r"assignment must be 1-D, got shape \(2, 2\)"),
-        (np.zeros(4, dtype=int), 0, InvalidKError, "k must be >= 1, got 0"),
-    ], ids=["2-D", "k-zero"])
+        (np.zeros(4, dtype=int), 0, InvalidKError, "k must be >= 1 and an integer, got 0"),
+        (np.array([0, 1, 0, 1]), 2.0, InvalidKError, "k must be >= 1 and an integer, got 2.0"),
+        (np.zeros(4, dtype=int), True, InvalidKError, "k must be >= 1 and an integer, got True"),
+    ], ids=["2-D", "k-zero", "k-float", "k-bool"])
     def test_malformed_partition_rejected(self, assignment, k, error, message):
         with pytest.raises(error, match=message):
             Regionalization(assignment=assignment, k=k)

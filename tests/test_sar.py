@@ -882,7 +882,7 @@ class TestTargetRho:
         with pytest.raises(NumericalError, match="window must be positive"):
             generate_with_target_rho(w10, y, target=0.0, window=window)
 
-    @pytest.mark.parametrize("max_retries", [0, -1])
+    @pytest.mark.parametrize("max_retries", [0, -1, 2.5, True, np.float64(3)])
     def test_no_retries_rejected_before_any_draw(self, w10, monkeypatch, max_retries):
         y = generate_sar(w10, SarSpec(rho=0.0, seed=1))
         monkeypatch.setattr(sar, "generate_sar", None)

@@ -40,3 +40,11 @@ class TestDeriveSeed:
             numpy_seed_sequence(args[0], args[1:])
         with pytest.raises(ValueError):
             derive_seed(*args)
+
+    @pytest.mark.parametrize("args", [(1.5, 2), (1, 2.0), (True,), (3, False), (np.float64(1),)],
+                             ids=["seed-fraction", "path-float", "seed-bool", "path-bool", "seed-numpy-float"])
+    def test_non_integer_refused(self, args):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            derive_seed(*args)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            derive_rng(*args)

@@ -4,11 +4,9 @@ The two steps are what the harnesses ask of ``experiments``: ``partition``
 grows PARTITIONS partitions with ``_partitions``, taken one at a time, as
 the acceptance filter does, and ``effects`` takes the labels and region
 sizes of all PARTITIONS partitions of one stream at once with
-``_partition_block``, as the effects harness does. ``_partition_block``
-takes the stream as a seed path, ``(w, k, seed_path, r)``, on trees before
-the filter's blocks, and as the bit generator ``derive_rng(*seed_path)``
-wraps, ``(w, k, bitgen, r)``, after; each tree is called by its own
-signature. For every rook lattice of N areas, N in SIZES, and every
+``_partition_block``, as the effects harness does, on the bit generator
+``derive_rng(*seed_path)`` wraps: ``(w, k, bitgen, r)``, the signature both
+trees must have. For every rook lattice of N areas, N in SIZES, and every
 k = round(f * N), f in FRACTIONS, both trees run both steps on the same
 stream, for ROUNDS rounds. Each tree runs in one long-lived process, and
 the two take turns cell by cell, the first to go alternating from round to
@@ -41,16 +39,13 @@ PARTITIONS = 30  # per cell and round
 STEPS = ("partition", "effects")
 
 _CHILD = """
-import inspect, json, sys
+import json, sys
 from time import perf_counter
 from smaup.experiments import _partition_block, _partitions, lattice_for_area_count
 from smaup.seeding import derive_rng
 
-if "seed_path" in inspect.signature(_partition_block).parameters:
-    effects = _partition_block
-else:
-    def effects(w, k, seed_path, r):
-        return _partition_block(w, k, derive_rng(*seed_path).bit_generator, r)
+def effects(w, k, seed_path, r):
+    return _partition_block(w, k, derive_rng(*seed_path).bit_generator, r)
 
 def partition(w, k, seed_path, r):
     for _ in _partitions(w, k, seed_path, r):
